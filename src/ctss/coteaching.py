@@ -1,11 +1,14 @@
 """Dual-network training with per-subject small-loss selection and cross-updates.
 
 Each iteration draws a subject-stratified mini-batch (b samples from every
-source subject, B = b*N total). Both networks rank subjects by their summed
-per-sample loss over the batch, keep the ceil(R(T)*N) smallest-loss subjects,
-and each network is then updated on the subjects its peer selected. R(T)
-decays from 1 toward 1 - tau over the first t_k epochs and stays flat after,
-so the pair gradually stops learning from consistently high-loss subjects.
+source subject, B = b*N total) and runs one taped forward per network over
+it. Both networks rank subjects by their summed per-sample loss from that
+forward, keep the ceil(R(T)*N) smallest-loss subjects, and each network is
+then updated on the mean loss over the subjects its peer selected: the same
+forward is backpropagated with the logit gradient masked to the peer's
+subjects. R(T) decays from 1 toward 1 - tau over the first t_k epochs and
+stays flat after, so the pair gradually stops learning from consistently
+high-loss subjects.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,6 +81,16 @@ class SubjectBatch:
     @property
     def total_samples(self) -> int:
         return self.b * self.n_subjects
+
+    def subject_sums(self, losses: np.ndarray) -> np.ndarray:
+        """Per-sample losses [N*b] summed per subject [N]."""
+        return losses.reshape(self.n_subjects, self.b).sum(axis=1)
+
+    def sample_mask(self, positions) -> np.ndarray:
+        """Per-sample weight [N*b]: 1.0 for the subjects at the given positions, else 0.0."""
+        keep = np.zeros(self.n_subjects)
+        keep[list(positions)] = 1.0
+        return np.repeat(keep, self.b)
 
     def subset(self, positions) -> tuple[Tensor, np.ndarray]:
         """Samples of the subjects at the given positions, in position order."""
@@ -184,8 +198,7 @@ def remember_rate(t: int, t_k: int, tau: float) -> float:
 
 def per_subject_loss_sums(model: Model, batch: SubjectBatch) -> np.ndarray:
     """Summed cross-entropy per subject over its b samples; no gradient side effects."""
-    losses = per_sample_losses(model, batch.trials, batch.labels)
-    return losses.reshape(batch.n_subjects, batch.b).sum(axis=1)
+    return batch.subject_sums(per_sample_losses(model, batch.trials, batch.labels))
 
 
 def select_small_loss_subjects(sums, r: float) -> list[int]:
@@ -200,31 +213,55 @@ def select_small_loss_subjects(sums, r: float) -> list[int]:
     return sorted(int(i) for i in order[:k])
 
 
-def apply_update(model: Model, opt_state: AdamState, trials: Tensor, labels,
-                 lr: float, optimizer: str = "adam") -> float:
-    """One mean-cross-entropy gradient step on the given samples; returns the mean loss."""
+class _TapedForward(NamedTuple):
+    tape: Tape
+    logits: Tensor
+    losses: np.ndarray  # per-sample cross-entropy [n]
+    grad: np.ndarray  # per-sample logit gradients [n, C]
+
+
+def _taped_forward(model: Model, trials: Tensor, labels) -> _TapedForward:
+    """Forward on a fresh tape, kept for a later :func:`_masked_update`."""
     tape = Tape()
     logits = model.forward(trials, tape)
     losses, grad = softmax_cross_entropy(logits, labels)
-    tape.backward(grad.data / labels.shape[0], output=logits)
+    return _TapedForward(tape, logits, losses.data, grad.data)
+
+
+def _masked_update(model: Model, opt_state: AdamState, forward: _TapedForward, mask: np.ndarray,
+                   lr: float, optimizer: str) -> None:
+    """Step on the mean loss over the samples whose 0/1 ``mask`` is 1, from a taped forward."""
+    tape = forward.tape
+    tape.backward(forward.grad * mask[:, None] / mask.sum(), output=forward.logits)
     params = model.parameters()
     grads = [tape.grad(p) if tape.grad(p) is not None else np.zeros_like(p.data) for p in params]
     if optimizer == "adam":
         adam_step(params, grads, opt_state, lr)
     else:
         sgd_step(params, grads, lr)
-    return float(losses.data.mean())
+
+
+def apply_update(model: Model, opt_state: AdamState, trials: Tensor, labels,
+                 lr: float, optimizer: str = "adam") -> float:
+    """One mean-cross-entropy gradient step on the given samples; returns the mean loss."""
+    forward = _taped_forward(model, trials, labels)
+    _masked_update(model, opt_state, forward, np.ones(labels.shape[0]), lr, optimizer)
+    return float(forward.losses.mean())
 
 
 def cross_update_step(state: CoteachState, batch: SubjectBatch, lr: float, r: float,
                       epoch: int = 0, iteration: int = 0) -> tuple[SelectionRecord, SelectionRecord]:
     """Select per network from pre-update losses, then update each on its peer's pick.
 
-    Both rankings are computed before either parameter set moves, so network
-    g's update set cannot leak the f update made in the same iteration.
+    One taped forward per network over the whole batch serves both its
+    ranking and its update. Both rankings are computed before either
+    parameter set moves, so network g's update set cannot leak the f update
+    made in the same iteration.
     """
-    sums_f = per_subject_loss_sums(state.model_f, batch)
-    sums_g = per_subject_loss_sums(state.model_g, batch)
+    forward_f = _taped_forward(state.model_f, batch.trials, batch.labels)
+    forward_g = _taped_forward(state.model_g, batch.trials, batch.labels)
+    sums_f = batch.subject_sums(forward_f.losses)
+    sums_g = batch.subject_sums(forward_g.losses)
     pos_f = select_small_loss_subjects(sums_f, r)
     pos_g = select_small_loss_subjects(sums_g, r)
 
@@ -234,10 +271,9 @@ def cross_update_step(state: CoteachState, batch: SubjectBatch, lr: float, r: fl
     rec_g = SelectionRecord(epoch, iteration, "g", [float(s) for s in sums_g],
                             [ids[p] for p in pos_g], r, subject_ids=ids)
 
-    trials_g, labels_g = batch.subset(pos_g)  # g's picks feed f
-    trials_f, labels_f = batch.subset(pos_f)  # f's picks feed g
-    apply_update(state.model_f, state.adam_f, trials_g, labels_g, lr, state.optimizer)
-    apply_update(state.model_g, state.adam_g, trials_f, labels_f, lr, state.optimizer)
+    # g's picks feed f, f's picks feed g
+    _masked_update(state.model_f, state.adam_f, forward_f, batch.sample_mask(pos_g), lr, state.optimizer)
+    _masked_update(state.model_g, state.adam_g, forward_g, batch.sample_mask(pos_f), lr, state.optimizer)
 
     state.selection_log.append(rec_f)
     state.selection_log.append(rec_g)

@@ -154,8 +154,15 @@ def augment_rest_class(ds: SubjectDataset, config: GeneratorConfig) -> SubjectDa
     """Append one freshly drawn rest trial per existing trial, labeled n_imagery_classes.
 
     Doubles the trial count and adds one class. Original trials are carried
-    over bitwise. Rejects datasets that already contain rest labels.
+    over bitwise. Rejects datasets that already contain rest labels, and
+    trials whose [E, T] shape differs from the generator config's.
     """
+    expected = (config.n_electrodes, config.n_timesteps)
+    if ds.trials.shape[1:] != expected:
+        raise ValidationError(
+            f"subject {ds.subject_id} has trials of shape [E, T] = {list(ds.trials.shape[1:])} but "
+            f"the generator config gives [n_electrodes, n_timesteps] = {list(expected)}"
+        )
     rest_label = config.n_imagery_classes
     if ds.labels.max() >= rest_label:
         raise ValidationError(

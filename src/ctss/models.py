@@ -343,7 +343,8 @@ def load_checkpoint(path) -> Model:
             data = np.frombuffer(view, dtype="<f8", count=count, offset=offset)
             offset += 8 * count
             p.data = np.ascontiguousarray(data.reshape(shape), dtype=np.float64)
-    except (struct.error, ValueError, KeyError, IndexError) as exc:
+    except (struct.error, ValueError, KeyError, IndexError, TypeError, ValidationError) as exc:
+        # TypeError and ValidationError come from builder kwargs the builder rejects
         raise DataFormatError(f"{path}: truncated or malformed checkpoint ({exc})") from None
     if offset != len(view):
         raise DataFormatError(f"{path}: {len(view) - offset} trailing bytes after parameters")

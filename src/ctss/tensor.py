@@ -67,13 +67,21 @@ class Tape:
     """Ordered record of primitive applications for one forward pass.
 
     Gradients are accumulated in buffers owned by the tape, keyed by the
-    identity of the tensors that took part in the recorded forward pass. A
-    tape is single-use: after :meth:`backward` it refuses further recording.
+    tensors that took part in the recorded forward pass (by identity; the
+    key holds a strong reference, so a freed tensor's id can never alias a
+    new one). A tape is single-use: after :meth:`backward` it refuses
+    further recording.
+
+    :meth:`backward` frees memory as it goes: each entry is dropped once it
+    has been replayed, releasing its closure and the arrays it captured,
+    and so is the gradient buffer of each recorded output. After backward,
+    only gradients of tensors that are not recorded outputs (inputs and
+    parameters) can be read through :meth:`grad`.
     """
 
     def __init__(self):
         self._entries: list[tuple[Tensor, Callable[[np.ndarray], Iterable[tuple[Tensor, np.ndarray]]]]] = []
-        self._grads: dict[int, np.ndarray] = {}
+        self._grads: dict[Tensor, np.ndarray] = {}
         self._finished = False
 
     def record(self, out: Tensor, backward_fn) -> None:
@@ -82,9 +90,9 @@ class Tape:
         self._entries.append((out, backward_fn))
 
     def _accumulate(self, t: Tensor, g: np.ndarray) -> None:
-        buf = self._grads.get(id(t))
+        buf = self._grads.get(t)
         if buf is None:
-            self._grads[id(t)] = np.array(g, dtype=np.float64, copy=True)
+            self._grads[t] = np.array(g, dtype=np.float64, copy=True)
         else:
             buf += g
 
@@ -105,8 +113,9 @@ class Tape:
             )
         self._finished = True
         self._accumulate(out, seed)
-        for node, fn in reversed(self._entries):
-            g = self._grads.get(id(node))
+        while self._entries:
+            node, fn = self._entries.pop()
+            g = self._grads.pop(node, None)
             if g is None:
                 continue  # branch not on the path to the seeded output
             for t, gt in fn(g):
@@ -114,7 +123,7 @@ class Tape:
 
     def grad(self, t: Tensor) -> Optional[np.ndarray]:
         """Accumulated gradient for ``t``, or None if it never received one."""
-        return self._grads.get(id(t))
+        return self._grads.get(t)
 
 
 def backward(tape: Tape, loss_grad) -> Tape:
@@ -232,10 +241,10 @@ def elu(x: Tensor, alpha: float = 1.0, tape: Optional[Tape] = None) -> Tensor:
     _ensure_finite(out, "elu")
     result = Tensor(out, check_finite=False)
     if tape is not None:
-        deriv = np.where(xd > 0.0, 1.0, out + alpha)
 
         def back(gout: np.ndarray):
-            return [(x, gout * deriv)]
+            # derivative built here, not at forward time, so the tape holds one array less
+            return [(x, gout * np.where(xd > 0.0, 1.0, out + alpha))]
 
         tape.record(result, back)
     return result

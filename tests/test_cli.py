@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: exit codes, files, determinism, report."""
 
 import json
+import re
 
 import pytest
 
@@ -127,6 +128,19 @@ class TestRun:
         assert (out / "results.csv").exists()
         assert cohort_path.read_bytes() == before
         assert cfg.read_bytes() == (TOY_CONFIG + f"cohort_file = {cohort_path}\n").encode()
+
+    @pytest.mark.parametrize("key, value", [("n_electrodes", 3), ("n_timesteps", 40)])
+    def test_cohort_shape_mismatch_exits_2_naming_both_shapes(self, toy_config, tmp_path, capsys,
+                                                              key, value):
+        cohort_path = tmp_path / "cohort.ctss"
+        assert main(["generate", "--config", str(toy_config), "--out", str(cohort_path)]) == 0
+        cfg = tmp_path / "mismatch.ini"
+        cfg.write_text(re.sub(rf"^{key} = .*$", f"{key} = {value}", TOY_CONFIG, flags=re.M)
+                       + f"cohort_file = {cohort_path}\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err
+        assert "[2, 32]" in err
+        assert str([value, 32] if key == "n_electrodes" else [2, value]) in err
 
     def test_parallel_folds_flag_matches_sequential(self, toy_config, tmp_path):
         seq, par = tmp_path / "seq", tmp_path / "par"

@@ -22,8 +22,9 @@ from ctss.coteaching import (
 )
 from ctss.data import GeneratorConfig, augment_rest_class, generate_cohort, train_val_split
 from ctss.errors import ValidationError
-from ctss.models import ModelConfig, build_mini_resnet1d
+from ctss.models import Model, ModelConfig, build_mini_resnet1d
 from ctss.optim import AdamState
+from ctss.tensor import Tape, softmax_cross_entropy
 
 
 def toy_cohort(n_subjects=3, trials_per_class=6, seed=0, noisy=()):
@@ -195,30 +196,52 @@ class TestCrossUpdateStep:
         for p, q in zip(state.model_f.parameters(), state.model_g.parameters()):
             np.testing.assert_array_equal(p.data, q.data)
 
-    def test_sgd_single_step_matches_independent_gradient(self):
+    @staticmethod
+    def sgd_step_deviation(net):
+        """Max deviation of one SGD cross-update of ``net`` from an independent peer-subset step."""
         cohort, _ = toy_cohort(n_subjects=4)
         cc = CoteachConfig(optimizer="sgd", seed=13)
         state = make_state(toy_model_config(), cc)
         batch = SubjectBatcher(cohort, 3, np.random.default_rng(1)).next_batch()
         lr, r = 0.05, 0.5
+        model, peer = (state.model_f, state.model_g) if net == "f" else (state.model_g, state.model_f)
 
-        before = [p.data.copy() for p in state.model_f.parameters()]
-        sums_g = per_subject_loss_sums(state.model_g, batch)
-        pos_g = select_small_loss_subjects(sums_g, r)
-        trials_g, labels_g = batch.subset(pos_g)
+        before = [p.data.copy() for p in model.parameters()]
+        pos_peer = select_small_loss_subjects(per_subject_loss_sums(peer, batch), r)
+        assert len(pos_peer) < batch.n_subjects
+        trials_peer, labels_peer = batch.subset(pos_peer)
 
-        # independent single-network gradient of the mean loss under f
-        probe = state.model_f.clone()
-        from ctss.tensor import Tape, softmax_cross_entropy
+        # independent single-network gradient of the mean loss on the peer's subjects
+        probe = model.clone()
         tape = Tape()
-        logits = probe.forward(trials_g, tape)
-        _, grad = softmax_cross_entropy(logits, labels_g)
-        tape.backward(grad.data / labels_g.shape[0], output=logits)
+        logits = probe.forward(trials_peer, tape)
+        _, grad = softmax_cross_entropy(logits, labels_peer)
+        tape.backward(grad.data / labels_peer.shape[0], output=logits)
         expected = [b - lr * tape.grad(p) for b, p in zip(before, probe.parameters())]
 
         cross_update_step(state, batch, lr, r)
-        for p, e in zip(state.model_f.parameters(), expected):
-            np.testing.assert_allclose(p.data, e, atol=1e-10)
+        return max(float(np.max(np.abs(p.data - e))) for p, e in zip(model.parameters(), expected))
+
+    def test_sgd_single_step_matches_independent_gradient(self):
+        assert self.sgd_step_deviation("f") <= 1e-10
+
+    def test_sgd_single_step_of_g_matches_independent_gradient(self):
+        assert self.sgd_step_deviation("g") <= 1e-10
+
+    def test_one_taped_forward_per_network(self, monkeypatch):
+        cohort, _ = toy_cohort(n_subjects=4)
+        state = make_state(toy_model_config(), CoteachConfig(seed=17))
+        batch = SubjectBatcher(cohort, 3, np.random.default_rng(2)).next_batch()
+        calls = []
+        original = Model.forward
+
+        def counting_forward(self, x, tape=None):
+            calls.append((tape is not None, x.shape[0]))
+            return original(self, x, tape)
+
+        monkeypatch.setattr(Model, "forward", counting_forward)
+        cross_update_step(state, batch, 0.01, 0.5)
+        assert calls == [(True, batch.total_samples)] * 2
 
     def test_selections_computed_before_updates(self):
         cohort, _ = toy_cohort(n_subjects=4)

@@ -190,6 +190,20 @@ class TestCheckpoint:
         with pytest.raises(DataFormatError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("arch", [
+        {"builder": "mini_resnet1d", "kwargs": {"bogus": 1}},
+        {"builder": "mlp", "kwargs": [5, [], 2]},
+        {"builder": "mini_resnet1d", "kwargs": dict(vars(small_config()), n_blocks=9)},
+        ["mlp"],
+    ])
+    def test_malformed_builder_kwargs(self, tmp_path, arch):
+        model = build_mlp(2, [], 2, seed=0)
+        model.arch = arch
+        path = tmp_path / "model.bin"
+        save_checkpoint(model, path)
+        with pytest.raises(DataFormatError):
+            load_checkpoint(path)
+
 
 class TestConfigValidation:
     def test_rejects_nonpositive_dims(self):

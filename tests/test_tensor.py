@@ -1,6 +1,7 @@
 """Tensor primitives: forward values, gradients, shapes, and failure modes."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -288,6 +289,25 @@ class TestTape:
         tape.backward(np.ones_like(out.data), output=out)
         with pytest.raises(StateError):
             tape.backward(np.ones_like(out.data), output=out)
+
+    def test_backward_frees_intermediates_and_keeps_leaf_grads(self):
+        rng = np.random.default_rng(47)
+        x = random_tensor(rng, (3, 4))
+        w1, b1 = random_tensor(rng, (5, 4)), random_tensor(rng, (5,))
+        w2, b2 = random_tensor(rng, (2, 5)), random_tensor(rng, (2,))
+        tape = Tape()
+        h = elu(linear(x, w1, b1, tape=tape), tape=tape)
+        out = linear(h, w2, b2, tape=tape)
+        h_data = h.data.copy()
+        h_ref = weakref.ref(h)
+        del h
+        gout = rng.normal(size=out.shape)
+        tape.backward(gout, output=out)
+        assert h_ref() is None
+        np.testing.assert_array_equal(tape.grad(w2), gout.T @ h_data)
+        assert all(g is not None for g in (tape.grad(x), tape.grad(w1), tape.grad(b1), tape.grad(b2)))
+        # tensors created after backward may reuse freed ids; none may read a stale buffer
+        assert all(tape.grad(Tensor(np.zeros(5))) is None for _ in range(100))
 
     def test_linear_functional_gradient_is_ones(self):
         # summing all entries via a ones-weight linear map
