@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import __version__
 from .config import ExperimentConfig, load_config
-from .coteaching import write_selection_log
+from .coteaching import METHODS, write_selection_log
 from .data import generate_cohort, load_raw, save_raw
 from .errors import DataFormatError, NumericError, ValidationError
 from .evaluate import run_loso, write_results_csv, write_summary_json
@@ -136,9 +136,11 @@ def cmd_report(args) -> int:
     summary_path = run_dir / "summary.json"
     if not summary_path.exists():
         raise DataFormatError(f"no summary.json in {run_dir}; is this a finished run directory?")
-    with open(summary_path, "r", encoding="utf-8") as fh:
-        summary = json.load(fh)
-    text = format_report(summary)
+    try:
+        with open(summary_path, "r", encoding="utf-8") as fh:
+            text = format_report(json.load(fh))
+    except (ValueError, KeyError, TypeError) as exc:  # bad UTF-8 or JSON, or a wrong layout
+        raise DataFormatError(f"{summary_path} is not a run summary: {type(exc).__name__}: {exc}") from None
     sys.stdout.write(text)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -164,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", help="experiment config (INI); defaults apply when omitted")
     p_run.add_argument("--out", help="output directory (overrides run.out_dir)")
     p_run.add_argument("--seed", type=int, help="override master seed")
-    p_run.add_argument("--method", choices=("coteach", "baseline"), help="override run.method")
+    p_run.add_argument("--method", choices=METHODS, help="override run.method")
     p_run.add_argument("--parallel-folds", type=int, dest="parallel_folds",
                        help="train folds in up to K worker processes")
     p_run.set_defaults(func=cmd_run)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import configparser
 from dataclasses import asdict, dataclass, field
 
-from .coteaching import CoteachConfig
+from .coteaching import METHODS, CoteachConfig
 from .data import GeneratorConfig
 from .errors import ValidationError
 from .models import ModelConfig
@@ -27,8 +27,8 @@ class RunConfig:
     cohort_file: str = ""
 
     def __post_init__(self):
-        if self.method not in ("coteach", "baseline"):
-            raise ValidationError(f"run.method must be 'coteach' or 'baseline', got {self.method!r}")
+        if self.method not in METHODS:
+            raise ValidationError(f"run.method must be one of {METHODS}, got {self.method!r}")
         if not 0.0 < self.val_ratio < 1.0:
             raise ValidationError(f"run.val_ratio must be in (0, 1), got {self.val_ratio}")
         if self.parallel_folds < 1:
@@ -105,16 +105,19 @@ def _parse_section(parser: configparser.ConfigParser, section: str) -> dict:
 def load_config(path) -> ExperimentConfig:
     """Parse and validate an experiment config file."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ValidationError(f"config file not found: {path}")
-    for section in parser.sections():
-        if section not in _PARSERS:
-            raise ValidationError(f"unknown config section [{section}]")
-    gen_kwargs = _parse_section(parser, "generator")
-    model_kwargs = _parse_section(parser, "model")
-    coteach_kwargs = _parse_section(parser, "coteach")
-    run_kwargs = _parse_section(parser, "run")
+    try:
+        if not parser.read(path, encoding="utf-8"):
+            raise ValidationError(f"config file not found: {path}")
+        for section in parser.sections():
+            if section not in _PARSERS:
+                raise ValidationError(f"unknown config section [{section}]")
+        gen_kwargs = _parse_section(parser, "generator")
+        model_kwargs = _parse_section(parser, "model")
+        coteach_kwargs = _parse_section(parser, "coteach")
+        run_kwargs = _parse_section(parser, "run")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        detail = " ".join(str(exc).split())  # some configparser messages span lines
+        raise ValidationError(f"malformed config file {path}: {detail}") from None
 
     try:
         generator = GeneratorConfig(**gen_kwargs)

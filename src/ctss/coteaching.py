@@ -9,13 +9,17 @@ forward is backpropagated with the logit gradient masked to the peer's
 subjects. R(T) decays from 1 toward 1 - tau over the first t_k epochs and
 stays flat after, so the pair gradually stops learning from consistently
 high-loss subjects.
+
+The transfer-learning baseline runs the same loop with network f alone: it
+is its own peer at R = 1, so it keeps every subject and its update is the
+plain mean-loss step.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -26,6 +30,8 @@ from .models import Model, ModelConfig, build_mini_resnet1d, per_sample_losses
 from .optim import AdamState, CosineSchedule, adam_step, cosine_lr, sgd_step
 from .seeding import derive_seed
 from .tensor import Tape, Tensor, softmax_cross_entropy
+
+METHODS = ("coteach", "baseline")
 
 
 @dataclass(frozen=True)
@@ -163,26 +169,36 @@ class SelectionRecord:
 
 @dataclass
 class CoteachState:
+    """The co-teaching pair, or network f alone for the baseline."""
+
     model_f: Model
-    model_g: Model
     adam_f: AdamState
-    adam_g: AdamState
+    model_g: Model | None = None
+    adam_g: AdamState | None = None
     optimizer: str = "adam"
-    epoch: int = 0
-    selection_log: list[SelectionRecord] = field(default_factory=list)
+
+    @property
+    def networks(self) -> list[tuple[str, Model, AdamState]]:
+        """(name, model, optimizer state) per network, in update order."""
+        if self.model_g is None:
+            return [("baseline", self.model_f, self.adam_f)]
+        return [("f", self.model_f, self.adam_f), ("g", self.model_g, self.adam_g)]
 
 
-def init_coteach_state(model_config: ModelConfig, config: CoteachConfig) -> CoteachState:
-    """Two architecturally identical networks with independently derived init seeds."""
+def init_coteach_state(model_config: ModelConfig, config: CoteachConfig,
+                       method: str = "coteach") -> CoteachState:
+    """Architecturally identical networks with independently derived init seeds.
+
+    The baseline builds only network f, from the same seed as co-teaching's f.
+    """
+    if method not in METHODS:
+        raise ValidationError(f"method must be one of {METHODS}, got {method!r}")
     model_f = build_mini_resnet1d(replace(model_config, seed=derive_seed(config.seed, "model-f")))
-    model_g = build_mini_resnet1d(replace(model_config, seed=derive_seed(config.seed, "model-g")))
-    return CoteachState(
-        model_f=model_f,
-        model_g=model_g,
-        adam_f=AdamState.for_params(model_f.parameters()),
-        adam_g=AdamState.for_params(model_g.parameters()),
-        optimizer=config.optimizer,
-    )
+    state = CoteachState(model_f, AdamState.for_params(model_f.parameters()), optimizer=config.optimizer)
+    if method == "coteach":
+        state.model_g = build_mini_resnet1d(replace(model_config, seed=derive_seed(config.seed, "model-g")))
+        state.adam_g = AdamState.for_params(state.model_g.parameters())
+    return state
 
 
 def remember_rate(t: int, t_k: int, tau: float) -> float:
@@ -241,43 +257,29 @@ def _masked_update(model: Model, opt_state: AdamState, forward: _TapedForward, m
         sgd_step(params, grads, lr)
 
 
-def apply_update(model: Model, opt_state: AdamState, trials: Tensor, labels,
-                 lr: float, optimizer: str = "adam") -> float:
-    """One mean-cross-entropy gradient step on the given samples; returns the mean loss."""
-    forward = _taped_forward(model, trials, labels)
-    _masked_update(model, opt_state, forward, np.ones(labels.shape[0]), lr, optimizer)
-    return float(forward.losses.mean())
-
-
 def cross_update_step(state: CoteachState, batch: SubjectBatch, lr: float, r: float,
-                      epoch: int = 0, iteration: int = 0) -> tuple[SelectionRecord, SelectionRecord]:
+                      epoch: int = 0, iteration: int = 0) -> tuple[SelectionRecord, ...]:
     """Select per network from pre-update losses, then update each on its peer's pick.
 
     One taped forward per network over the whole batch serves both its
-    ranking and its update. Both rankings are computed before either
-    parameter set moves, so network g's update set cannot leak the f update
-    made in the same iteration.
+    ranking and its update. Every ranking is computed before any parameter
+    set moves, so network g's update set cannot leak the f update made in
+    the same iteration. Returns one record per network, in update order.
     """
-    forward_f = _taped_forward(state.model_f, batch.trials, batch.labels)
-    forward_g = _taped_forward(state.model_g, batch.trials, batch.labels)
-    sums_f = batch.subject_sums(forward_f.losses)
-    sums_g = batch.subject_sums(forward_g.losses)
-    pos_f = select_small_loss_subjects(sums_f, r)
-    pos_g = select_small_loss_subjects(sums_g, r)
+    nets = state.networks
+    forwards = [_taped_forward(model, batch.trials, batch.labels) for _, model, _ in nets]
+    sums = [batch.subject_sums(fw.losses) for fw in forwards]
+    picks = [select_small_loss_subjects(s, r) for s in sums]
 
     ids = batch.subject_ids
-    rec_f = SelectionRecord(epoch, iteration, "f", [float(s) for s in sums_f],
-                            [ids[p] for p in pos_f], r, subject_ids=ids)
-    rec_g = SelectionRecord(epoch, iteration, "g", [float(s) for s in sums_g],
-                            [ids[p] for p in pos_g], r, subject_ids=ids)
+    records = tuple(SelectionRecord(epoch, iteration, name, [float(x) for x in s],
+                                    [ids[p] for p in pos], r, subject_ids=ids)
+                    for (name, _, _), s, pos in zip(nets, sums, picks))
 
-    # g's picks feed f, f's picks feed g
-    _masked_update(state.model_f, state.adam_f, forward_f, batch.sample_mask(pos_g), lr, state.optimizer)
-    _masked_update(state.model_g, state.adam_g, forward_g, batch.sample_mask(pos_f), lr, state.optimizer)
-
-    state.selection_log.append(rec_f)
-    state.selection_log.append(rec_g)
-    return rec_f, rec_g
+    # g's picks feed f, f's picks feed g; a lone network is its own peer
+    for (_, model, adam), fw, pos in zip(nets, forwards, picks[::-1]):
+        _masked_update(model, adam, fw, batch.sample_mask(pos), lr, state.optimizer)
+    return records
 
 
 @dataclass
@@ -315,48 +317,46 @@ def default_m_max(train, b: int) -> int:
 
 
 def train_coteaching(train, val, model_config: ModelConfig, config: CoteachConfig,
-                     epoch_callback=None) -> TrainResult:
-    """Full co-teaching run; returns the best-validation network and all logs.
+                     epoch_callback=None, method: str = "coteach") -> TrainResult:
+    """Full training run of either method; returns the best-validation network and all logs.
 
     The best checkpoint is the (network, epoch) pair with the highest
     validation balanced accuracy; network f wins exact ties within an epoch
-    and earlier epochs win ties across epochs.
+    and earlier epochs win ties across epochs. The baseline trains f alone
+    at R = 1 and logs no selections.
     """
     if not train or not val:
         raise ValidationError("training and validation sets must both be nonempty")
     m_max = config.m_max if config.m_max is not None else default_m_max(train, config.b)
-    state = init_coteach_state(model_config, config)
+    state = init_coteach_state(model_config, config, method)
     batcher = SubjectBatcher(train, config.b,
                              np.random.default_rng(np.random.PCG64(derive_seed(config.seed, "batches"))))
     sched = CosineSchedule(config.lr, config.min_lr, config.t_max)
 
     best: Checkpoint | None = None
     epoch_stats: list[EpochStats] = []
+    selections: list[SelectionRecord] = []
     for t in range(1, config.t_max + 1):
-        r = remember_rate(t, config.t_k, config.tau)
+        r = remember_rate(t, config.t_k, config.tau) if method == "coteach" else 1.0
         lr = cosine_lr(t - 1, sched)
         for it in range(1, m_max + 1):
-            batch = batcher.next_batch()
-            cross_update_step(state, batch, lr, r, epoch=t, iteration=it)
-        state.epoch = t
+            records = cross_update_step(state, batcher.next_batch(), lr, r, epoch=t, iteration=it)
+            if method == "coteach":
+                selections.extend(records)
 
-        accs = {
-            "f": evaluate_balanced_accuracy(state.model_f, val, model_config.n_classes),
-            "g": evaluate_balanced_accuracy(state.model_g, val, model_config.n_classes),
-        }
+        models = {name: model for name, model, _ in state.networks}
+        accs = {name: evaluate_balanced_accuracy(model, val, model_config.n_classes)
+                for name, model in models.items()}
         epoch_stats.append(EpochStats(epoch=t, remember_rate=r, lr=lr, val_accuracy=accs))
-        for net in ("f", "g"):
-            if best is None or accs[net] > best.balanced_accuracy:
-                model = state.model_f if net == "f" else state.model_g
-                best = Checkpoint(model=model.clone(), net=net, epoch=t,
-                                  balanced_accuracy=accs[net])
+        for name, model in models.items():
+            if best is None or accs[name] > best.balanced_accuracy:
+                best = Checkpoint(model=model.clone(), net=name, epoch=t, balanced_accuracy=accs[name])
         if epoch_callback is not None:
-            epoch_callback(t, {"f": state.model_f, "g": state.model_g})
+            epoch_callback(t, models)
 
     assert best is not None
     return TrainResult(checkpoint=best,
-                       logs=RunLogs(selection_records=state.selection_log,
-                                    epoch_stats=epoch_stats, m_max=m_max))
+                       logs=RunLogs(selection_records=selections, epoch_stats=epoch_stats, m_max=m_max))
 
 
 def write_selection_log(records, path) -> None:

@@ -39,7 +39,6 @@ class SubjectDataset:
     trials: Tensor  # [n_trials, E, T]
     labels: np.ndarray  # int64 [n_trials]
     is_noisy: bool = False
-    session_id: int = 0
 
     def __post_init__(self):
         if self.trials.ndim != 3:
@@ -146,7 +145,7 @@ def generate_cohort(config: GeneratorConfig) -> list[SubjectDataset]:
         if noisy and config.noise_mode == "label_shuffle":
             labels = labels[rng.permutation(n)]
         cohort.append(SubjectDataset(subject_id=sid, trials=Tensor(trials), labels=labels,
-                                     is_noisy=noisy, session_id=0))
+                                     is_noisy=noisy))
     return cohort
 
 
@@ -176,7 +175,7 @@ def augment_rest_class(ds: SubjectDataset, config: GeneratorConfig) -> SubjectDa
     trials = np.concatenate([ds.trials.data, rest], axis=0)
     labels = np.concatenate([ds.labels, np.full(n, rest_label, dtype=np.int64)])
     return SubjectDataset(subject_id=ds.subject_id, trials=Tensor(trials), labels=labels,
-                          is_noisy=ds.is_noisy, session_id=ds.session_id)
+                          is_noisy=ds.is_noisy)
 
 
 def loso_split(cohort: list[SubjectDataset], target_subject_id: int) -> tuple[list[SubjectDataset], SubjectDataset]:
@@ -220,7 +219,7 @@ def train_val_split(source: list[SubjectDataset], ratio: float, seed: int
 
 def _subset(ds: SubjectDataset, idx: np.ndarray) -> SubjectDataset:
     return SubjectDataset(subject_id=ds.subject_id, trials=Tensor(ds.trials.data[idx]),
-                          labels=ds.labels[idx], is_noisy=ds.is_noisy, session_id=ds.session_id)
+                          labels=ds.labels[idx], is_noisy=ds.is_noisy)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +274,7 @@ def load_raw(path) -> list[SubjectDataset]:
         cursor += 2 * n
         data = np.frombuffer(view, dtype="<f8", count=n * e * t, offset=cursor)
         cohort.append(SubjectDataset(subject_id=sid, trials=Tensor(data.reshape(n, e, t).copy()),
-                                     labels=labels, is_noisy=bool(noisy), session_id=0))
+                                     labels=labels, is_noisy=bool(noisy)))
         offset += block_len + 4
     if offset != len(view):
         raise DataFormatError(f"{path}: {len(view) - offset} trailing bytes after last subject")

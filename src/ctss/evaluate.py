@@ -1,9 +1,9 @@
 """Leave-one-subject-out experiment driver, plain-training baseline, and reports.
 
 Every fold derives its own seed from (master seed, target subject), so folds
-are independent, reproducible, and safe to run in parallel. The baseline
-shares the co-teaching batcher, update helper, schedule, and seed paths; with
-a remember rate pinned at 1 the two produce identical network-f trajectories.
+are independent, reproducible, and safe to run in parallel. The baseline runs
+the co-teaching loop with one network, its own peer at a remember rate pinned
+at 1, so it matches co-teaching's network f at tau = 0 by construction.
 """
 
 from __future__ import annotations
@@ -19,54 +19,21 @@ from .coteaching import (
     Checkpoint,
     CoteachConfig,
     EpochStats,
-    RunLogs,
     SelectionRecord,
-    SubjectBatcher,
     TrainResult,
-    apply_update,
-    default_m_max,
     train_coteaching,
 )
 from .data import GeneratorConfig, augment_rest_class, loso_split, train_val_split
 from .errors import ValidationError
 from .metrics import evaluate_balanced_accuracy
-from .models import ModelConfig, build_mini_resnet1d
-from .optim import AdamState, CosineSchedule, cosine_lr
+from .models import ModelConfig
 from .seeding import derive_seed
-
-METHODS = ("coteach", "baseline")
 
 
 def train_baseline(train, val, model_config: ModelConfig, config: CoteachConfig,
                    epoch_callback=None) -> TrainResult:
-    """Single-network training with the same batching, optimizer, and schedule."""
-    if not train or not val:
-        raise ValidationError("training and validation sets must both be nonempty")
-    m_max = config.m_max if config.m_max is not None else default_m_max(train, config.b)
-    model = build_mini_resnet1d(replace(model_config, seed=derive_seed(config.seed, "model-f")))
-    adam = AdamState.for_params(model.parameters())
-    batcher = SubjectBatcher(train, config.b,
-                             np.random.default_rng(np.random.PCG64(derive_seed(config.seed, "batches"))))
-    sched = CosineSchedule(config.lr, config.min_lr, config.t_max)
-
-    best: Checkpoint | None = None
-    epoch_stats: list[EpochStats] = []
-    for t in range(1, config.t_max + 1):
-        lr = cosine_lr(t - 1, sched)
-        for _ in range(m_max):
-            batch = batcher.next_batch()
-            apply_update(model, adam, batch.trials, batch.labels, lr, config.optimizer)
-        acc = evaluate_balanced_accuracy(model, val, model_config.n_classes)
-        epoch_stats.append(EpochStats(epoch=t, remember_rate=1.0, lr=lr,
-                                      val_accuracy={"baseline": acc}))
-        if best is None or acc > best.balanced_accuracy:
-            best = Checkpoint(model=model.clone(), net="baseline", epoch=t, balanced_accuracy=acc)
-        if epoch_callback is not None:
-            epoch_callback(t, {"baseline": model})
-
-    assert best is not None
-    return TrainResult(checkpoint=best,
-                       logs=RunLogs(selection_records=[], epoch_stats=epoch_stats, m_max=m_max))
+    """Single-network training: the co-teaching loop with network f alone at R = 1."""
+    return train_coteaching(train, val, model_config, config, epoch_callback, method="baseline")
 
 
 @dataclass
@@ -119,19 +86,14 @@ def run_fold(cohort, target_subject_id: int, method: str, model_config: ModelCon
              train_config: CoteachConfig, generator_config: GeneratorConfig,
              master_seed: int, val_ratio: float = 0.9) -> FoldOutput:
     """Train on everyone but the target, then score on the augmented target."""
-    if method not in METHODS:
-        raise ValidationError(f"method must be one of {METHODS}, got {method!r}")
     fold_seed = derive_seed(master_seed, "fold", target_subject_id)
     source, test = loso_split(cohort, target_subject_id)
     source = [augment_rest_class(ds, generator_config) for ds in source]
     test = augment_rest_class(test, generator_config)
     train, val = train_val_split(source, val_ratio, derive_seed(fold_seed, "split"))
 
-    cfg = replace(train_config, seed=fold_seed)
-    if method == "coteach":
-        result = train_coteaching(train, val, model_config, cfg)
-    else:
-        result = train_baseline(train, val, model_config, cfg)
+    result = train_coteaching(train, val, model_config, replace(train_config, seed=fold_seed),
+                              method=method)
 
     test_acc = evaluate_balanced_accuracy(result.checkpoint.model, test, model_config.n_classes)
     record = FoldRecord(target_subject=target_subject_id, method=method,

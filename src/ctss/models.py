@@ -66,10 +66,6 @@ class Conv1d:
     def parameters(self) -> list[Tensor]:
         return [self.weight, self.bias]
 
-    def describe(self) -> dict:
-        return {"type": "conv1d", "shape": list(self.weight.shape), "stride": self.stride,
-                "padding": self.padding}
-
 
 class Linear:
     def __init__(self, in_features: int, out_features: int, rng: np.random.Generator):
@@ -82,9 +78,6 @@ class Linear:
     def parameters(self) -> list[Tensor]:
         return [self.weight, self.bias]
 
-    def describe(self) -> dict:
-        return {"type": "linear", "shape": list(self.weight.shape)}
-
 
 class Elu:
     def __init__(self, alpha: float = 1.0):
@@ -95,9 +88,6 @@ class Elu:
 
     def parameters(self) -> list[Tensor]:
         return []
-
-    def describe(self) -> dict:
-        return {"type": "elu", "alpha": self.alpha}
 
 
 class MaxPool1d:
@@ -111,9 +101,6 @@ class MaxPool1d:
     def parameters(self) -> list[Tensor]:
         return []
 
-    def describe(self) -> dict:
-        return {"type": "maxpool1d", "k": self.k, "stride": self.stride}
-
 
 class AdaptiveAvgPool1d:
     def __init__(self, out_len: int):
@@ -125,9 +112,6 @@ class AdaptiveAvgPool1d:
     def parameters(self) -> list[Tensor]:
         return []
 
-    def describe(self) -> dict:
-        return {"type": "adaptive_avg_pool1d", "out_len": self.out_len}
-
 
 class Flatten:
     """Collapse all trailing axes into one: [B, ...] -> [B, prod(...)]."""
@@ -138,9 +122,6 @@ class Flatten:
 
     def parameters(self) -> list[Tensor]:
         return []
-
-    def describe(self) -> dict:
-        return {"type": "flatten"}
 
 
 class ResidualBlock:
@@ -167,14 +148,6 @@ class ResidualBlock:
             params += self.shortcut.parameters()
         return params
 
-    def describe(self) -> dict:
-        return {
-            "type": "residual_block",
-            "shape": list(self.conv1.weight.shape),
-            "stride": self.conv1.stride,
-            "projection": self.shortcut is not None,
-        }
-
 
 class Model:
     """An ordered layer list with a shared forward/parameter protocol."""
@@ -195,9 +168,6 @@ class Model:
         for layer in self.layers:
             params.extend(layer.parameters())
         return params
-
-    def layer_metadata(self) -> list[dict]:
-        return [layer.describe() for layer in self.layers]
 
     def n_parameters(self) -> int:
         return sum(p.size for p in self.parameters())

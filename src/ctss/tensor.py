@@ -30,10 +30,6 @@ class Tensor:
             _ensure_finite(arr, "tensor construction")
         self.data = arr
 
-    @classmethod
-    def zeros(cls, shape) -> "Tensor":
-        return cls(np.zeros(shape, dtype=np.float64), check_finite=False)
-
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
@@ -45,14 +41,6 @@ class Tensor:
     @property
     def size(self) -> int:
         return self.data.size
-
-    def item(self) -> float:
-        if self.data.size != 1:
-            raise DimensionError(f"item() requires a single-element tensor, got shape {tuple(self.shape)}")
-        return float(self.data.reshape(-1)[0])
-
-    def copy(self) -> "Tensor":
-        return Tensor(self.data.copy(), check_finite=False)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={tuple(self.shape)})"
@@ -124,12 +112,6 @@ class Tape:
     def grad(self, t: Tensor) -> Optional[np.ndarray]:
         """Accumulated gradient for ``t``, or None if it never received one."""
         return self._grads.get(t)
-
-
-def backward(tape: Tape, loss_grad) -> Tape:
-    """Run reverse-mode accumulation over ``tape`` seeded at its final output."""
-    tape.backward(loss_grad)
-    return tape
 
 
 # ---------------------------------------------------------------------------

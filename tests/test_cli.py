@@ -75,11 +75,22 @@ class TestConfigValidation:
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "r")]) == 2
         assert "tau" in capsys.readouterr().err
 
-    def test_unknown_key_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("content, named", [
+        (b"[coteach]\nmystery = 3\n", "mystery"),
+        (b"tau = 0.1\n", "no section headers"),
+        (b"[coteach]\ntau = 0.1\ntau = 0.2\n", "option 'tau'"),
+        (b"[coteach]\ntau = 0.1\n[coteach]\nb = 2\n", "section 'coteach'"),
+        (b"[run]\nout_dir = runs/50%\n", "'%'"),
+        (b"[run]\nout_dir = \xff\xfe\n", "utf-8"),
+    ], ids=["unknown-key", "no-section", "duplicate-option", "duplicate-section",
+            "bare-percent", "non-utf8"])
+    def test_unknown_key_exits_2(self, tmp_path, capsys, content, named):
         path = tmp_path / "bad.ini"
-        path.write_text("[coteach]\nmystery = 3\n")
+        path.write_bytes(content)
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "r")]) == 2
-        assert "mystery" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert named in err
+        assert len(err.splitlines()) == 1
 
     def test_missing_config_file_exits_2(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.ini"),
@@ -174,8 +185,22 @@ class TestReport:
             accs = [float(r["balanced_accuracy"]) for r in csv.DictReader(fh)]
         assert reported_avg == pytest.approx(100 * sum(accs) / len(accs), abs=0.005)
 
-    def test_empty_run_dir_exits_4(self, tmp_path):
+    @pytest.mark.parametrize("summary", [
+        None,
+        b"{",
+        b"\xff\xfe",
+        b"[]",
+        b"{}",
+        json.dumps({"method": "coteach", "folds": [{"balanced_accuracy": 0.5}],
+                    "mean_balanced_accuracy": 0.5, "std_balanced_accuracy": 0.0}).encode(),
+    ], ids=["no-summary", "invalid-json", "non-utf8", "list", "no-folds", "fold-without-target"])
+    def test_empty_run_dir_exits_4(self, tmp_path, capsys, summary):
+        if summary is not None:
+            (tmp_path / "summary.json").write_bytes(summary)
         assert main(["report", str(tmp_path)]) == 4
+        err = capsys.readouterr().err
+        assert str(tmp_path) in err
+        assert len(err.splitlines()) == 1
 
     def test_report_file_output(self, toy_config, tmp_path, capsys):
         out = tmp_path / "run"

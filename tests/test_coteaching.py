@@ -10,7 +10,6 @@ from ctss.coteaching import (
     CoteachConfig,
     CoteachState,
     SubjectBatcher,
-    apply_update,
     cross_update_step,
     init_coteach_state,
     per_subject_loss_sums,
@@ -23,7 +22,7 @@ from ctss.coteaching import (
 from ctss.data import GeneratorConfig, augment_rest_class, generate_cohort, train_val_split
 from ctss.errors import ValidationError
 from ctss.models import Model, ModelConfig, build_mini_resnet1d
-from ctss.optim import AdamState
+from ctss.optim import AdamState, adam_step
 from ctss.tensor import Tape, softmax_cross_entropy
 
 
@@ -172,10 +171,14 @@ class TestCrossUpdateStep:
 
         ref_f = state.model_f.clone()
         ref_g = state.model_g.clone()
-        ref_adam_f = AdamState.for_params(ref_f.parameters())
-        ref_adam_g = AdamState.for_params(ref_g.parameters())
-        apply_update(ref_f, ref_adam_f, batch.trials, batch.labels, 0.01)
-        apply_update(ref_g, ref_adam_g, batch.trials, batch.labels, 0.01)
+        for ref in (ref_f, ref_g):
+            # independent oracle: one Adam step on the mean loss over the whole batch
+            tape = Tape()
+            logits = ref.forward(batch.trials, tape)
+            _, grad = softmax_cross_entropy(logits, batch.labels)
+            tape.backward(grad.data / batch.total_samples, output=logits)
+            params = ref.parameters()
+            adam_step(params, [tape.grad(p) for p in params], AdamState.for_params(params), 0.01)
 
         cross_update_step(state, batch, 0.01, 1.0)
         for p, q in zip(state.model_f.parameters(), ref_f.parameters()):
@@ -333,6 +336,11 @@ class TestTrainCoteaching:
         cohort, _ = toy_cohort(n_subjects=3)
         with pytest.raises(ValidationError):
             train_coteaching([], cohort, toy_model_config(), CoteachConfig())
+
+    def test_unknown_method_rejected(self):
+        cohort, _ = toy_cohort(n_subjects=3)
+        with pytest.raises(ValidationError, match="method"):
+            train_coteaching(cohort, cohort, toy_model_config(), CoteachConfig(), method="Coteach")
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):

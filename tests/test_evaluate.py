@@ -16,7 +16,7 @@ from ctss.evaluate import (
     write_summary_json,
 )
 from ctss.metrics import balanced_accuracy, confusion_matrix
-from ctss.models import ModelConfig
+from ctss.models import Model, ModelConfig
 
 
 def toy_generator(n_subjects=3, trials_per_class=6, seed=0, noisy=()):
@@ -88,6 +88,27 @@ class TestTrainBaseline:
         for snap_c, snap_b in zip(trajectories["coteach"], trajectories["baseline"]):
             for p, q in zip(snap_c, snap_b):
                 np.testing.assert_array_equal(p, q)
+
+    def test_single_network_loop(self, monkeypatch):
+        gen = toy_generator(seed=8)
+        cohort = [augment_rest_class(ds, gen) for ds in generate_cohort(gen)]
+        train, val = train_val_split(cohort, 0.8, seed=2)
+        cc = CoteachConfig(t_max=2, b=2, seed=47)
+        taped, seen = [], []
+        original = Model.forward
+
+        def counting_forward(self, x, tape=None):
+            if tape is not None:
+                taped.append(x.shape[0])
+            return original(self, x, tape)
+
+        monkeypatch.setattr(Model, "forward", counting_forward)
+        result = train_baseline(train, val, toy_model_config(), cc,
+                                epoch_callback=lambda t, models: seen.append(sorted(models)))
+        # one taped full-batch forward per iteration, no selections, one network named "baseline"
+        assert taped == [cc.b * len(train)] * (cc.t_max * result.logs.m_max)
+        assert result.logs.selection_records == []
+        assert seen == [["baseline"]] * cc.t_max
 
     def test_loss_decreases_on_separable_data(self):
         gen = toy_generator(n_subjects=3, trials_per_class=8, seed=6)
