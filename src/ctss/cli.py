@@ -61,7 +61,6 @@ def cmd_run(args) -> int:
     if args.parallel_folds is not None:
         run_cfg = replace(run_cfg, parallel_folds=args.parallel_folds)
     out_dir = Path(args.out if args.out is not None else run_cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     if run_cfg.cohort_file:
         cohort = load_raw(run_cfg.cohort_file)
@@ -84,6 +83,8 @@ def cmd_run(args) -> int:
     )
     elapsed = time.time() - started
 
+    # created only now, so a run that fails leaves no empty directory behind
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_results_csv(run, out_dir / "results.csv")
     write_summary_json(run, out_dir / "summary.json")
     for fold in run.folds:

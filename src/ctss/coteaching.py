@@ -248,8 +248,8 @@ def _masked_update(model: Model, opt_state: AdamState, forward: _TapedForward, m
                    lr: float, optimizer: str) -> None:
     """Step on the mean loss over the samples whose 0/1 ``mask`` is 1, from a taped forward."""
     tape = forward.tape
-    tape.backward(forward.grad * mask[:, None] / mask.sum(), output=forward.logits)
     params = model.parameters()
+    tape.backward(forward.grad * mask[:, None] / mask.sum(), output=forward.logits, wrt=params)
     grads = [tape.grad(p) if tape.grad(p) is not None else np.zeros_like(p.data) for p in params]
     if optimizer == "adam":
         adam_step(params, grads, opt_state, lr)

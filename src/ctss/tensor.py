@@ -65,29 +65,52 @@ class Tape:
     and so is the gradient buffer of each recorded output. After backward,
     only gradients of tensors that are not recorded outputs (inputs and
     parameters) can be read through :meth:`grad`.
+
+    ``backward(..., wrt=tensors)`` limits the work to the gradients the
+    caller reads, like the ``inputs=`` argument of torch's backward: a leaf
+    tensor outside ``wrt`` gets no gradient. A closure may ask
+    :meth:`wants` and skip the arithmetic for an input nobody reads; conv1d
+    does, so a model's first conv builds no gradient for the data batch.
+
+    Gradients are read-only. They are stored without copying and summed out
+    of place, so one array may serve as the gradient of several tensors
+    (``add`` hands its output gradient to both inputs, ``reshape`` a view of
+    it), and a gradient may alias the caller's seed array.
     """
 
     def __init__(self):
         self._entries: list[tuple[Tensor, Callable[[np.ndarray], Iterable[tuple[Tensor, np.ndarray]]]]] = []
         self._grads: dict[Tensor, np.ndarray] = {}
         self._finished = False
+        self._wrt: Optional[frozenset[Tensor]] = None
+        self._pending: set[Tensor] = set()
 
     def record(self, out: Tensor, backward_fn) -> None:
         if self._finished:
             raise StateError("tape already consumed by backward; use a fresh tape")
         self._entries.append((out, backward_fn))
 
-    def _accumulate(self, t: Tensor, g: np.ndarray) -> None:
-        buf = self._grads.get(t)
-        if buf is None:
-            self._grads[t] = np.array(g, dtype=np.float64, copy=True)
-        else:
-            buf += g
+    def wants(self, t: Tensor) -> bool:
+        """Whether the running backward needs a gradient for ``t``.
 
-    def backward(self, output_grad, output: Optional[Tensor] = None) -> None:
+        Always true without ``wrt``; with it, true for the tensors in ``wrt``
+        and for the outputs of entries not yet replayed.
+        """
+        return self._wrt is None or t in self._wrt or t in self._pending
+
+    def _accumulate(self, t: Tensor, g: np.ndarray) -> None:
+        if not self.wants(t):
+            return
+        buf = self._grads.get(t)
+        # never in place: ``g`` may also be another tensor's gradient
+        self._grads[t] = g if buf is None else buf + g
+
+    def backward(self, output_grad, output: Optional[Tensor] = None,
+                 wrt: Optional[Iterable[Tensor]] = None) -> None:
         """Replay recorded primitives in reverse, seeding ``output`` with ``output_grad``.
 
-        ``output`` defaults to the most recently recorded result.
+        ``output`` defaults to the most recently recorded result. When
+        ``wrt`` is given, leaf tensors outside it receive no gradient.
         """
         if self._finished:
             raise StateError("backward already ran on this tape")
@@ -100,9 +123,13 @@ class Tape:
                 f"output grad shape {seed.shape} does not match output shape {out.data.shape}"
             )
         self._finished = True
+        if wrt is not None:
+            self._wrt = frozenset(wrt)
+            self._pending = {node for node, _ in self._entries}
         self._accumulate(out, seed)
         while self._entries:
             node, fn = self._entries.pop()
+            self._pending.discard(node)
             g = self._grads.pop(node, None)
             if g is None:
                 continue  # branch not on the path to the seeded output
@@ -185,8 +212,9 @@ def conv1d(
         as_strided(xp, shape=(b, n_out, c, k), strides=(sb, sl * stride, sc, sl), writeable=False)
     ).reshape(b * n_out, c * k)
     kflat = kernels.data.reshape(c_out, c * k)
-    out = (windows @ kflat.T).reshape(b, n_out, c_out).transpose(0, 2, 1)
-    out = np.ascontiguousarray(out) + bias.data[None, :, None]
+    # transpose the [B*L_out, C_out] product and add the bias in one pass
+    out = np.empty((b, c_out, n_out), dtype=np.float64)
+    np.add((windows @ kflat.T).reshape(b, n_out, c_out).transpose(0, 2, 1), bias.data[None, :, None], out=out)
     _ensure_finite(out, "conv1d")
     result = Tensor(out[0] if squeezed else out, check_finite=False)
 
@@ -197,16 +225,18 @@ def conv1d(
             gbias = g.sum(axis=(0, 2))
             gflat = np.ascontiguousarray(g.transpose(0, 2, 1)).reshape(b * n_out, c_out)
             gker = (gflat.T @ windows).reshape(c_out, c, k)
-            spread = (gflat @ kflat).reshape(b, n_out, c, k)
-            # scatter-add windows back in [B, L, C] layout so axes line up per tap
-            gxp = np.zeros((b, padded_len, c), dtype=np.float64)
-            for j in range(k):
-                gxp[:, j:j + stride * n_out:stride, :] += spread[:, :, :, j]
-            gx = gxp[:, padding:padding + length, :] if padding else gxp
-            gx = np.ascontiguousarray(gx.transpose(0, 2, 1))
-            if squeezed:
-                gx = gx[0]
-            return [(x, gx), (kernels, gker), (bias, gbias)]
+            if not tape.wants(x):
+                return [(kernels, gker), (bias, gbias)]
+            # spread[b, c, l, j] is tap j's share of input position l * stride + j - padding
+            spread = (gflat @ kflat).reshape(b, n_out, c, k).transpose(0, 2, 1, 3)
+            gx = np.zeros((b, c, length), dtype=np.float64)
+            for j in range(k):  # taps in order j = 0..k-1, so overlapping windows always sum alike
+                lo = max(0, -((j - padding) // stride))  # first window whose tap j is not padding
+                hi = min(n_out, (padding + length - 1 - j) // stride + 1)
+                if lo < hi:
+                    start = lo * stride + j - padding
+                    gx[:, :, start:start + stride * (hi - lo):stride] += spread[:, :, lo:hi, j]
+            return [(x, gx[0] if squeezed else gx), (kernels, gker), (bias, gbias)]
 
         tape.record(result, back)
     return result

@@ -153,6 +153,14 @@ class TestRun:
         assert "[2, 32]" in err
         assert str([value, 32] if key == "n_electrodes" else [2, value]) in err
 
+    def test_failed_run_leaves_no_out_dir(self, toy_config, tmp_path, capsys):
+        cfg = tmp_path / "missing.ini"
+        cfg.write_text(TOY_CONFIG + f"cohort_file = {tmp_path / 'absent.ctss'}\n")
+        out = tmp_path / "r"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 4
+        assert "absent.ctss" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_parallel_folds_flag_matches_sequential(self, toy_config, tmp_path):
         seq, par = tmp_path / "seq", tmp_path / "par"
         assert main(["run", "--config", str(toy_config), "--out", str(seq)]) == 0

@@ -106,6 +106,32 @@ class TestResnetBuilder:
         assert all(g is not None for g in grads)
         assert probe_gradients(value, params, grads, rng, n_probes=25) < 1e-3
 
+    def test_backward_wrt_params_skips_only_the_batch_gradient(self):
+        rng = np.random.default_rng(9)
+        model = build_mini_resnet1d(small_config(n_blocks=2, seed=3))
+        batch = Tensor(rng.normal(size=(5, 4, 64)))
+        labels = rng.integers(0, 3, size=5)
+        params = model.parameters()
+
+        def backward(wrt):
+            tape = Tape()
+            logits = model.forward(batch, tape)
+            _, grad = softmax_cross_entropy(logits, labels)
+            tape.backward(grad.data / 5.0, output=logits, wrt=wrt)
+            return tape
+
+        full, only_params = backward(None), backward(params)
+        for p in params:
+            np.testing.assert_array_equal(only_params.grad(p), full.grad(p))
+        assert only_params.grad(batch) is None
+        np.testing.assert_array_equal(backward(params + [batch]).grad(batch), full.grad(batch))
+
+        def value():
+            losses, _ = softmax_cross_entropy(model.forward(batch), labels)
+            return float(losses.data.mean())
+
+        assert probe_gradients(value, [batch], [full.grad(batch)], rng, n_probes=20) < 1e-4
+
 
 class TestMlp:
     def test_output_width(self):

@@ -93,6 +93,48 @@ class TestConv1d:
         grads = [tape.grad(t) for t in (x, k, b)]
         assert probe_gradients(value, [x, k, b], grads, rng, n_probes=30) < 1e-4
 
+    @pytest.mark.parametrize("k, stride, padding, batched, length", [
+        (k, s, p, batched, 19) for k in (1, 3, 7) for s in (1, 2) for p in (0, 1, 3) for batched in (True, False)
+    ] + [(7, 1, 3, True, 2)])  # the last case has taps that only ever see padding
+    def test_backward_bitwise_matches_per_tap_oracle(self, k, stride, padding, batched, length):
+        rng = np.random.default_rng(100 * k + 10 * stride + padding)
+        x = random_tensor(rng, (3, 4, length) if batched else (4, length))
+        kernels, bias = random_tensor(rng, (5, 4, k)), random_tensor(rng, (5,))
+        tape = Tape()
+        out = conv1d(x, kernels, bias, stride=stride, padding=padding, tape=tape)
+        gout = rng.normal(size=out.shape)
+        tape.backward(gout, output=out)
+        expected = _conv1d_backward_oracle(x.data, kernels.data, gout, stride, padding)
+        for got, want in zip((tape.grad(x), tape.grad(kernels), tape.grad(bias)), expected):
+            np.testing.assert_array_equal(got, want)
+
+
+def _conv1d_backward_oracle(x, kernels, gout, stride, padding):
+    """(gx, gker, gbias) by a per-tap scatter in [B, L, C] layout, the bitwise reference."""
+    squeezed = x.ndim == 2
+    xb = x[None] if squeezed else x
+    g = gout[None] if squeezed else gout
+    b, c, length = xb.shape
+    c_out, _, k = kernels.shape
+    n_out = g.shape[2]
+    padded_len = length + 2 * padding
+    xp = np.zeros((b, c, padded_len))
+    xp[:, :, padding:padding + length] = xb
+    sb, sc, sl = xp.strides
+    windows = np.ascontiguousarray(
+        np.lib.stride_tricks.as_strided(xp, shape=(b, n_out, c, k), strides=(sb, sl * stride, sc, sl))
+    ).reshape(b * n_out, c * k)
+    kflat = kernels.reshape(c_out, c * k)
+    gbias = g.sum(axis=(0, 2))
+    gflat = np.ascontiguousarray(g.transpose(0, 2, 1)).reshape(b * n_out, c_out)
+    gker = (gflat.T @ windows).reshape(c_out, c, k)
+    spread = (gflat @ kflat).reshape(b, n_out, c, k)
+    gxp = np.zeros((b, padded_len, c))
+    for j in range(k):
+        gxp[:, j:j + stride * n_out:stride, :] += spread[:, :, :, j]
+    gx = np.ascontiguousarray(gxp[:, padding:padding + length, :].transpose(0, 2, 1))
+    return (gx[0] if squeezed else gx), gker, gbias
+
 
 class TestElu:
     def test_point_values(self):
@@ -308,6 +350,37 @@ class TestTape:
         assert all(g is not None for g in (tape.grad(x), tape.grad(w1), tape.grad(b1), tape.grad(b2)))
         # tensors created after backward may reuse freed ids; none may read a stale buffer
         assert all(tape.grad(Tensor(np.zeros(5))) is None for _ in range(100))
+
+    @pytest.mark.parametrize("chain", ["add", "reshape"])
+    def test_shared_gradient_is_never_written_through(self, chain):
+        rng = np.random.default_rng(53)
+        x = random_tensor(rng, (3, 4))
+        tape = Tape()
+        if chain == "add":
+            out = add(x, x, tape=tape)
+        else:  # two reshape views of one seed both flow back to x
+            out = add(reshape(x, (12,), tape=tape),
+                      reshape(reshape(x, (2, 6), tape=tape), (12,), tape=tape), tape=tape)
+        seed = rng.normal(size=out.shape)
+        kept = seed.copy()
+        tape.backward(seed, output=out)
+        np.testing.assert_array_equal(seed, kept)
+        np.testing.assert_array_equal(tape.grad(x), 2.0 * kept.reshape(3, 4))
+
+    def test_leaf_outside_wrt_gets_no_gradient(self):
+        rng = np.random.default_rng(59)
+        x, w, b = random_tensor(rng, (3, 4)), random_tensor(rng, (2, 4)), random_tensor(rng, (2,))
+        gout = rng.normal(size=(3, 2))
+
+        def backward(wrt):
+            tape = Tape()
+            tape.backward(gout, output=linear(x, w, b, tape=tape), wrt=wrt)
+            return tape
+
+        full, only_params = backward(None), backward([w, b])
+        assert only_params.grad(x) is None and full.grad(x) is not None
+        for t in (w, b):
+            np.testing.assert_array_equal(only_params.grad(t), full.grad(t))
 
     def test_linear_functional_gradient_is_ones(self):
         # summing all entries via a ones-weight linear map
