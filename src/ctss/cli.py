@@ -61,6 +61,9 @@ def cmd_run(args) -> int:
     if args.parallel_folds is not None:
         run_cfg = replace(run_cfg, parallel_folds=args.parallel_folds)
     out_dir = Path(args.out if args.out is not None else run_cfg.out_dir)
+    # the echo shows the method and seed that ran; parallel_folds is left as
+    # configured, since it cannot change a byte of the results
+    echo = replace(cfg, run=replace(cfg.run, method=run_cfg.method, master_seed=run_cfg.master_seed)).to_dict()
 
     if run_cfg.cohort_file:
         cohort = load_raw(run_cfg.cohort_file)
@@ -79,7 +82,7 @@ def cmd_run(args) -> int:
         master_seed=run_cfg.master_seed,
         val_ratio=run_cfg.val_ratio,
         parallel_folds=run_cfg.parallel_folds,
-        config_echo=cfg.to_dict(),
+        config_echo=echo,
     )
     elapsed = time.time() - started
 
@@ -95,7 +98,7 @@ def cmd_run(args) -> int:
             write_selection_log(fold.selection_records, fold_dir / "selections.jsonl")
     manifest = {
         "command": "run",
-        "config": cfg.to_dict(),
+        "config": echo,
         "method": run_cfg.method,
         "master_seed": run_cfg.master_seed,
         "version": __version__,

@@ -13,17 +13,27 @@ high-loss subjects.
 The transfer-learning baseline runs the same loop with network f alone: it
 is its own peer at R = 1, so it keeps every subject and its update is the
 plain mean-loss step.
+
+On a large batch, co-teaching runs network g's half of each phase (its
+forward, its update, and its validation at the end of an epoch) on one
+helper thread while the calling thread runs f's, with OpenBLAS pinned to one
+thread so the two threads have the cores to themselves. The arithmetic is
+the same, so results are bitwise unchanged.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
+from .blas import single_blas_thread
 from .errors import ValidationError
 from .metrics import evaluate_balanced_accuracy
 from .models import Model, ModelConfig, build_mini_resnet1d, per_sample_losses
@@ -32,6 +42,11 @@ from .seeding import derive_seed
 from .tensor import Tape, Tensor, softmax_cross_entropy
 
 METHODS = ("coteach", "baseline")
+
+# Co-teaching batches of at least this many input values (b*N*E*T) train f
+# and g on two threads. Below it the interpreter lock dominates the small
+# tensor operations and two threads are no faster than one.
+_THREAD_MIN_VALUES = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -257,17 +272,40 @@ def _masked_update(model: Model, opt_state: AdamState, forward: _TapedForward, m
         sgd_step(params, grads, lr)
 
 
+def _per_network(helper: ThreadPoolExecutor | None, calls: list) -> list:
+    """Each network's call, results in network order.
+
+    With a helper, network g's call runs on it while f's runs here. This
+    waits for g even when f raises, so g's call never outlives it, and f's
+    error is the one raised, as on the serial path.
+    """
+    if helper is None:
+        return [call() for call in calls]
+    f_call, g_call = calls
+    g_future = helper.submit(g_call)
+    try:
+        f_out = f_call()
+    finally:
+        wait([g_future])
+    return [f_out, g_future.result()]
+
+
 def cross_update_step(state: CoteachState, batch: SubjectBatch, lr: float, r: float,
-                      epoch: int = 0, iteration: int = 0) -> tuple[SelectionRecord, ...]:
+                      epoch: int = 0, iteration: int = 0,
+                      helper: ThreadPoolExecutor | None = None) -> tuple[SelectionRecord, ...]:
     """Select per network from pre-update losses, then update each on its peer's pick.
 
     One taped forward per network over the whole batch serves both its
     ranking and its update. Every ranking is computed before any parameter
     set moves, so network g's update set cannot leak the f update made in
     the same iteration. Returns one record per network, in update order.
+
+    ``helper``, a one-worker executor, runs g's forward and g's update
+    alongside f's; ranking and records stay on the calling thread.
     """
     nets = state.networks
-    forwards = [_taped_forward(model, batch.trials, batch.labels) for _, model, _ in nets]
+    forwards = _per_network(helper, [partial(_taped_forward, model, batch.trials, batch.labels)
+                                     for _, model, _ in nets])
     sums = [batch.subject_sums(fw.losses) for fw in forwards]
     picks = [select_small_loss_subjects(s, r) for s in sums]
 
@@ -277,8 +315,8 @@ def cross_update_step(state: CoteachState, batch: SubjectBatch, lr: float, r: fl
                     for (name, _, _), s, pos in zip(nets, sums, picks))
 
     # g's picks feed f, f's picks feed g; a lone network is its own peer
-    for (_, model, adam), fw, pos in zip(nets, forwards, picks[::-1]):
-        _masked_update(model, adam, fw, batch.sample_mask(pos), lr, state.optimizer)
+    _per_network(helper, [partial(_masked_update, model, adam, fw, batch.sample_mask(pos), lr, state.optimizer)
+                          for (_, model, adam), fw, pos in zip(nets, forwards, picks[::-1])])
     return records
 
 
@@ -316,6 +354,26 @@ def default_m_max(train, b: int) -> int:
     return max(1, min(ds.n_trials for ds in train) // b)
 
 
+@contextlib.contextmanager
+def _network_g_helper(enabled: bool):
+    """A one-worker executor for network g's half of each phase, or None for the serial path.
+
+    The helper runs only with OpenBLAS pinned to one thread: unpinned, BLAS's
+    own threads already fill the cores and two training threads gain
+    nothing. Without a pin it yields None. The thread lives only inside this
+    context, so it is never alive across a fork of a fold worker.
+    """
+    if not enabled:
+        yield None
+        return
+    with single_blas_thread() as replaced_count:
+        if replaced_count is None:
+            yield None
+            return
+        with ThreadPoolExecutor(max_workers=1, thread_name_prefix="ctss-g") as helper:
+            yield helper
+
+
 def train_coteaching(train, val, model_config: ModelConfig, config: CoteachConfig,
                      epoch_callback=None, method: str = "coteach") -> TrainResult:
     """Full training run of either method; returns the best-validation network and all logs.
@@ -336,23 +394,27 @@ def train_coteaching(train, val, model_config: ModelConfig, config: CoteachConfi
     best: Checkpoint | None = None
     epoch_stats: list[EpochStats] = []
     selections: list[SelectionRecord] = []
-    for t in range(1, config.t_max + 1):
-        r = remember_rate(t, config.t_k, config.tau) if method == "coteach" else 1.0
-        lr = cosine_lr(t - 1, sched)
-        for it in range(1, m_max + 1):
-            records = cross_update_step(state, batcher.next_batch(), lr, r, epoch=t, iteration=it)
-            if method == "coteach":
-                selections.extend(records)
+    batch_values = config.b * len(batcher.subject_ids) * model_config.n_electrodes * model_config.n_timesteps
+    with _network_g_helper(method == "coteach" and batch_values >= _THREAD_MIN_VALUES) as helper:
+        for t in range(1, config.t_max + 1):
+            r = remember_rate(t, config.t_k, config.tau) if method == "coteach" else 1.0
+            lr = cosine_lr(t - 1, sched)
+            for it in range(1, m_max + 1):
+                records = cross_update_step(state, batcher.next_batch(), lr, r, epoch=t, iteration=it,
+                                            helper=helper)
+                if method == "coteach":
+                    selections.extend(records)
 
-        models = {name: model for name, model, _ in state.networks}
-        accs = {name: evaluate_balanced_accuracy(model, val, model_config.n_classes)
-                for name, model in models.items()}
-        epoch_stats.append(EpochStats(epoch=t, remember_rate=r, lr=lr, val_accuracy=accs))
-        for name, model in models.items():
-            if best is None or accs[name] > best.balanced_accuracy:
-                best = Checkpoint(model=model.clone(), net=name, epoch=t, balanced_accuracy=accs[name])
-        if epoch_callback is not None:
-            epoch_callback(t, models)
+            models = {name: model for name, model, _ in state.networks}
+            accs = dict(zip(models, _per_network(helper, [partial(evaluate_balanced_accuracy, model, val,
+                                                                  model_config.n_classes)
+                                                          for model in models.values()])))
+            epoch_stats.append(EpochStats(epoch=t, remember_rate=r, lr=lr, val_accuracy=accs))
+            for name, model in models.items():
+                if best is None or accs[name] > best.balanced_accuracy:
+                    best = Checkpoint(model=model.clone(), net=name, epoch=t, balanced_accuracy=accs[name])
+            if epoch_callback is not None:
+                epoch_callback(t, models)
 
     assert best is not None
     return TrainResult(checkpoint=best,

@@ -118,7 +118,8 @@ def run_loso(cohort, method: str, model_config: ModelConfig, train_config: Cotea
     tasks = [(cohort, sid, method, model_config, train_config, generator_config,
               master_seed, val_ratio) for sid in targets]
     if parallel_folds > 1:
-        with ProcessPoolExecutor(max_workers=parallel_folds) as pool:
+        # the fork start method launches every worker up front, so never more than folds
+        with ProcessPoolExecutor(max_workers=min(parallel_folds, len(tasks))) as pool:
             outputs = list(pool.map(_fold_task, tasks))
     else:
         outputs = [run_fold(*task) for task in tasks]

@@ -245,11 +245,13 @@ def conv1d(
 def elu(x: Tensor, alpha: float = 1.0, tape: Optional[Tape] = None) -> Tensor:
     """Elementwise x if x > 0 else alpha * (exp(x) - 1)."""
     xd = x.data
-    neg = xd <= 0.0
-    out = xd.copy()
-    np.expm1(xd, out=out, where=neg)
-    if alpha != 1.0:
-        out[neg] *= alpha
+    # unmasked expm1 is several times faster than a masked one and gives the same
+    # bits; past x ~ 709.78 it overflows (and inf * 0 is NaN), where copyto overwrites it
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.expm1(xd)
+        if alpha != 1.0:
+            out *= alpha
+    np.copyto(out, xd, where=xd > 0.0)
     _ensure_finite(out, "elu")
     result = Tensor(out, check_finite=False)
     if tape is not None:

@@ -168,6 +168,15 @@ class TestRun:
                      "--parallel-folds", "2"]) == 0
         assert (seq / "results.csv").read_bytes() == (par / "results.csv").read_bytes()
 
+    def test_config_echo_shows_the_overridden_method_and_seed(self, toy_config, tmp_path):
+        out = tmp_path / "r"
+        assert main(["run", "--config", str(toy_config), "--out", str(out), "--method", "baseline",
+                     "--seed", "4", "--parallel-folds", "2"]) == 0
+        for name in ("summary.json", "manifest.json"):
+            echo = json.loads((out / name).read_text())["config"]["run"]
+            assert (echo["method"], echo["master_seed"]) == ("baseline", 4), name
+            assert echo["parallel_folds"] == 1, name  # as configured: it changes no result
+
 
 class TestReport:
     def test_report_layout(self, toy_config, tmp_path, capsys):

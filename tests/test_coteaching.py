@@ -1,11 +1,15 @@
 """Batching, rate schedule, subject selection, cross-updates, and full training."""
 
+import contextlib
 import itertools
 import math
+import threading
 
 import numpy as np
 import pytest
 
+import ctss.coteaching
+from ctss.blas import single_blas_thread
 from ctss.coteaching import (
     CoteachConfig,
     CoteachState,
@@ -20,8 +24,8 @@ from ctss.coteaching import (
     write_selection_log,
 )
 from ctss.data import GeneratorConfig, augment_rest_class, generate_cohort, train_val_split
-from ctss.errors import ValidationError
-from ctss.models import Model, ModelConfig, build_mini_resnet1d
+from ctss.errors import NumericError, ValidationError
+from ctss.models import Model, ModelConfig, build_mini_resnet1d, save_checkpoint
 from ctss.optim import AdamState, adam_step
 from ctss.tensor import Tape, softmax_cross_entropy
 
@@ -349,3 +353,101 @@ class TestTrainCoteaching:
             CoteachConfig(b=0)
         with pytest.raises(ValidationError):
             CoteachConfig(optimizer="momentum")
+
+
+def blas_thread_count() -> int | None:
+    """OpenBLAS's thread count, as the pin reports what it replaced; None where it cannot be pinned."""
+    with single_blas_thread() as count:
+        return count
+
+
+def force_threads(monkeypatch) -> None:
+    """Trains even the toy recipe's pair on two threads; skips where OpenBLAS cannot be pinned."""
+    if blas_thread_count() is None:
+        pytest.skip("no OpenBLAS thread control in this process")
+    monkeypatch.setattr(ctss.coteaching, "_THREAD_MIN_VALUES", 0)
+
+
+def forward_threads(monkeypatch, name: str = "_taped_forward") -> list[bool]:
+    """Records, per call of ``ctss.coteaching.<name>``, whether it ran on the calling thread."""
+    caller = threading.get_ident()
+    on_caller = []
+    original = getattr(ctss.coteaching, name)
+
+    def spy(*args):
+        on_caller.append(threading.get_ident() == caller)
+        return original(*args)
+
+    monkeypatch.setattr(ctss.coteaching, name, spy)
+    return on_caller
+
+
+class TestThreadedPair:
+    @staticmethod
+    def fold_data():
+        cohort, _ = toy_cohort(n_subjects=3, noisy=(1,))
+        return (*train_val_split(cohort, 0.8, seed=1), toy_model_config(), CoteachConfig(t_max=3, seed=31))
+
+    def test_pin_sets_one_thread_and_restores_on_error(self):
+        before = blas_thread_count()
+        with pytest.raises(KeyError), single_blas_thread() as replaced:
+            assert replaced == before
+            assert blas_thread_count() == (None if before is None else 1)
+            raise KeyError
+        assert blas_thread_count() == before
+
+    def test_bitwise_equal_to_serial(self, monkeypatch, tmp_path):
+        train, val, model_config, cc = self.fold_data()
+        on_caller = forward_threads(monkeypatch)
+        evaluated_on_caller = forward_threads(monkeypatch, "evaluate_balanced_accuracy")
+        serial = train_coteaching(train, val, model_config, cc)
+        assert all(on_caller) and all(evaluated_on_caller)  # the toy batch is far below the threshold
+
+        with monkeypatch.context() as patch:
+            force_threads(patch)
+            before = blas_thread_count()
+            on_caller.clear()
+            evaluated_on_caller.clear()
+            pair = train_coteaching(train, val, model_config, cc)
+            assert blas_thread_count() == before
+        # f here, g on the helper
+        assert on_caller.count(True) == on_caller.count(False) > 0
+        assert evaluated_on_caller.count(True) == evaluated_on_caller.count(False) == cc.t_max
+
+        assert [(r.to_json(), r.subject_ids) for r in pair.logs.selection_records] == \
+               [(r.to_json(), r.subject_ids) for r in serial.logs.selection_records]
+        assert pair.logs.epoch_stats == serial.logs.epoch_stats
+        assert (pair.checkpoint.net, pair.checkpoint.epoch) == (serial.checkpoint.net, serial.checkpoint.epoch)
+        save_checkpoint(serial.checkpoint.model, tmp_path / "serial.bin")
+        save_checkpoint(pair.checkpoint.model, tmp_path / "pair.bin")
+        assert (tmp_path / "pair.bin").read_bytes() == (tmp_path / "serial.bin").read_bytes()
+
+    def test_error_in_g_propagates_and_leaves_no_thread(self, monkeypatch):
+        force_threads(monkeypatch)
+        caller = threading.get_ident()
+        original = ctss.coteaching._masked_update
+
+        def update(*args):
+            if threading.get_ident() != caller:
+                raise NumericError("non-finite values in g")
+            return original(*args)
+
+        monkeypatch.setattr(ctss.coteaching, "_masked_update", update)
+        threads, counts = set(threading.enumerate()), blas_thread_count()
+        with pytest.raises(NumericError, match="in g"):
+            train_coteaching(*self.fold_data())
+        assert set(threading.enumerate()) == threads
+        assert blas_thread_count() == counts
+
+    def test_serial_when_the_pin_fails(self, monkeypatch):
+        monkeypatch.setattr(ctss.coteaching, "_THREAD_MIN_VALUES", 0)
+        monkeypatch.setattr(ctss.coteaching, "single_blas_thread", lambda: contextlib.nullcontext(None))
+        on_caller = forward_threads(monkeypatch)
+        train_coteaching(*self.fold_data())
+        assert on_caller and all(on_caller)
+
+    def test_baseline_stays_serial(self, monkeypatch):
+        monkeypatch.setattr(ctss.coteaching, "_THREAD_MIN_VALUES", 0)
+        on_caller = forward_threads(monkeypatch)
+        train_coteaching(*self.fold_data(), method="baseline")
+        assert on_caller and all(on_caller)

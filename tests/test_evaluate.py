@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import ctss.evaluate
 from ctss.coteaching import CoteachConfig, SelectionRecord, train_coteaching
 from ctss.data import GeneratorConfig, augment_rest_class, generate_cohort, train_val_split
 from ctss.errors import ValidationError
@@ -182,6 +183,32 @@ class TestRunLoso:
         par = run_loso(cohort, "baseline", toy_model_config(), cc, gen, master_seed=4,
                        parallel_folds=2)
         assert seq.summary.folds == par.summary.folds
+
+    @pytest.mark.parametrize("parallel_folds, workers", [(2, 2), (3, 3), (5000, 3)])
+    def test_fold_workers_capped_at_fold_count(self, monkeypatch, parallel_folds, workers):
+        started = []
+
+        class SerialPool:
+            """Records max_workers and maps in this process, so no worker is started."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(ctss.evaluate, "ProcessPoolExecutor", SerialPool)
+        gen = toy_generator(n_subjects=3, seed=18)
+        run = run_loso(generate_cohort(gen), "baseline", toy_model_config(), CoteachConfig(t_max=1, seed=0),
+                       gen, master_seed=4, parallel_folds=parallel_folds)
+        assert started == [workers]
+        assert len(run.summary.folds) == 3
 
     def test_result_files(self, tmp_path):
         gen = toy_generator(n_subjects=3, seed=20)

@@ -1,6 +1,7 @@
 """Tensor primitives: forward values, gradients, shapes, and failure modes."""
 
 import math
+import warnings
 import weakref
 
 import numpy as np
@@ -157,6 +158,25 @@ class TestElu:
         out = elu(x, tape=tape)
         tape.backward(np.ones_like(out.data), output=out)
         assert probe_gradients(value, [x], [tape.grad(x)], rng, n_probes=25) < 1e-4
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5, 0.0])
+    def test_forward_bitwise_matches_masked_expm1(self, alpha):
+        """The masked expm1 the forward used to run, bit for bit, sign bits included."""
+        special = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 709.8, 710.0, 1e300, -1e300, -800.0]
+        xd = np.concatenate([np.random.default_rng(17).standard_normal(100_000), special])
+        neg = xd <= 0.0
+        ref = xd.copy()
+        np.expm1(xd, out=ref, where=neg)
+        ref[neg] *= alpha
+        with warnings.catch_warnings():
+            # an overflow warning from expm1(710), or an invalid one from inf * 0, would raise here
+            warnings.simplefilter("error")
+            tape = Tape()
+            x = Tensor(xd)
+            out = elu(x, alpha=alpha, tape=tape)  # elu(1e300) is finite, so no NumericError either
+            tape.backward(np.ones_like(xd), output=out)
+        np.testing.assert_array_equal(out.data.view(np.uint64), ref.view(np.uint64))
+        np.testing.assert_array_equal(tape.grad(x), np.where(xd > 0.0, 1.0, ref + alpha))
 
 
 class TestMaxPool1d:
