@@ -11,6 +11,7 @@ import argparse
 import json
 import logging
 import os
+import re
 import sys
 import time
 from dataclasses import replace
@@ -51,6 +52,20 @@ def cmd_generate(args) -> int:
     return 0
 
 
+def _check_out_dir(out_dir: Path, subject_ids) -> None:
+    """Refuse, before any fold trains, an output path under a file or holding another cohort's folds."""
+    existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not existing.is_dir():
+        raise DataFormatError(f"output path {out_dir}: {existing} exists and is not a directory")
+    if existing != out_dir:
+        return
+    stale = sorted(p for p in out_dir.iterdir()
+                   if p.is_dir() and re.fullmatch(r"fold_\d{3,}", p.name) and int(p.name[5:]) not in subject_ids)
+    if stale:
+        raise ValidationError(f"{stale[0]} holds a fold of a subject this cohort does not have; "
+                              "choose another --out or remove the old run")
+
+
 def cmd_run(args) -> int:
     cfg = _load_or_default_config(args.config)
     run_cfg = cfg.run
@@ -71,6 +86,7 @@ def cmd_run(args) -> int:
     else:
         cohort = generate_cohort(cfg.generator)
         log.info("generated cohort of %d subjects", len(cohort))
+    _check_out_dir(out_dir, {ds.subject_id for ds in cohort})
 
     started = time.time()
     run = run_loso(

@@ -35,6 +35,7 @@ import numpy as np
 
 from .blas import single_blas_thread
 from .errors import ValidationError
+from .heap import keep_freed_memory
 from .metrics import evaluate_balanced_accuracy
 from .models import Model, ModelConfig, build_mini_resnet1d, per_sample_losses
 from .optim import AdamState, CosineSchedule, adam_step, cosine_lr, sgd_step
@@ -385,6 +386,7 @@ def train_coteaching(train, val, model_config: ModelConfig, config: CoteachConfi
     """
     if not train or not val:
         raise ValidationError("training and validation sets must both be nonempty")
+    keep_freed_memory()  # each step reuses the last one's freed activations instead of faulting them in
     m_max = config.m_max if config.m_max is not None else default_m_max(train, config.b)
     state = init_coteach_state(model_config, config, method)
     batcher = SubjectBatcher(train, config.b,

@@ -166,6 +166,14 @@ def _sliding_windows(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
     return as_strided(x, shape=(b, c, n_out, kernel), strides=(sb, sc, sl * stride, sl), writeable=False)
 
 
+def _tap_windows(j: int, stride: int, padding: int, length: int, n_out: int) -> tuple[int, int, int]:
+    """(lo, hi, start): windows lo..hi-1 (none when lo == hi) are those whose tap j reads x
+    rather than padding, and window lo's tap j reads x at position start."""
+    lo = max(0, -((j - padding) // stride))
+    hi = max(lo, min(n_out, (padding + length - 1 - j) // stride + 1))
+    return lo, hi, lo * stride + j - padding
+
+
 # ---------------------------------------------------------------------------
 # primitives
 
@@ -201,20 +209,22 @@ def conv1d(
     if n_out < 1:
         raise DimensionError(f"conv1d output length {n_out} < 1 for L={length}, K={k}, s={stride}, p={padding}")
 
-    if padding:
-        xp = np.zeros((b, c, padded_len), dtype=np.float64)
-        xp[:, :, padding:padding + length] = xb
-    else:
-        xp = xb
-    # materialize windows as [B, L_out, C_in, K] so the contraction is one matmul
-    sb, sc, sl = xp.strides
-    windows = np.ascontiguousarray(
-        as_strided(xp, shape=(b, n_out, c, k), strides=(sb, sl * stride, sc, sl), writeable=False)
-    ).reshape(b * n_out, c * k)
+    # windows as columns, cols[c, j, b, l] = x[b, c, l * stride + j - padding] (0 in the padding):
+    # one copy per tap j, running along L, with no padded copy of x. The matmul reads them
+    # transposed, as [B*L_out, C_in*K] rows, because kflat @ cols sums in another order for some
+    # small shapes
+    cols = np.empty((c, k, b, n_out), dtype=np.float64)
+    xt = xb.transpose(1, 0, 2)
+    for j in range(k):
+        lo, hi, start = _tap_windows(j, stride, padding, length, n_out)
+        cols[:, j, :, :lo] = 0.0
+        cols[:, j, :, hi:] = 0.0
+        cols[:, j, :, lo:hi] = xt[:, :, start:start + stride * (hi - lo):stride]
+    cols = cols.reshape(c * k, b * n_out)
     kflat = kernels.data.reshape(c_out, c * k)
     # transpose the [B*L_out, C_out] product and add the bias in one pass
     out = np.empty((b, c_out, n_out), dtype=np.float64)
-    np.add((windows @ kflat.T).reshape(b, n_out, c_out).transpose(0, 2, 1), bias.data[None, :, None], out=out)
+    np.add((cols.T @ kflat.T).reshape(b, n_out, c_out).transpose(0, 2, 1), bias.data[None, :, None], out=out)
     _ensure_finite(out, "conv1d")
     result = Tensor(out[0] if squeezed else out, check_finite=False)
 
@@ -223,19 +233,18 @@ def conv1d(
         def back(gout: np.ndarray):
             g = gout[None, :, :] if squeezed else gout
             gbias = g.sum(axis=(0, 2))
+            # gflat stays the reduction operand: the product in the other orientation sums in another order
             gflat = np.ascontiguousarray(g.transpose(0, 2, 1)).reshape(b * n_out, c_out)
-            gker = (gflat.T @ windows).reshape(c_out, c, k)
+            gker = (gflat.T @ cols.T).reshape(c_out, c, k)
             if not tape.wants(x):
                 return [(kernels, gker), (bias, gbias)]
-            # spread[b, c, l, j] is tap j's share of input position l * stride + j - padding
-            spread = (gflat @ kflat).reshape(b, n_out, c, k).transpose(0, 2, 1, 3)
+            # spread[b, c, j, l] is tap j's share of input position l * stride + j - padding
+            spread = np.matmul(kflat.T, g).reshape(b, c, k, n_out)
             gx = np.zeros((b, c, length), dtype=np.float64)
             for j in range(k):  # taps in order j = 0..k-1, so overlapping windows always sum alike
-                lo = max(0, -((j - padding) // stride))  # first window whose tap j is not padding
-                hi = min(n_out, (padding + length - 1 - j) // stride + 1)
+                lo, hi, start = _tap_windows(j, stride, padding, length, n_out)
                 if lo < hi:
-                    start = lo * stride + j - padding
-                    gx[:, :, start:start + stride * (hi - lo):stride] += spread[:, :, lo:hi, j]
+                    gx[:, :, start:start + stride * (hi - lo):stride] += spread[:, :, j, lo:hi]
             return [(x, gx[0] if squeezed else gx), (kernels, gker), (bias, gbias)]
 
         tape.record(result, back)
@@ -243,22 +252,33 @@ def conv1d(
 
 
 def elu(x: Tensor, alpha: float = 1.0, tape: Optional[Tape] = None) -> Tensor:
-    """Elementwise x if x > 0 else alpha * (exp(x) - 1)."""
+    """Elementwise x if x > 0 else alpha * (exp(x) - 1), for 0 <= alpha <= 1."""
+    if not 0.0 <= alpha <= 1.0:
+        raise ValidationError(f"elu needs 0 <= alpha <= 1, got {alpha}")
     xd = x.data
-    # unmasked expm1 is several times faster than a masked one and gives the same
-    # bits; past x ~ 709.78 it overflows (and inf * 0 is NaN), where copyto overwrites it
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = np.expm1(xd)
-        if alpha != 1.0:
-            out *= alpha
-    np.copyto(out, xd, where=xd > 0.0)
+    # no mask, whose branches cost several times more on activations' random signs: the
+    # negative branch of x clipped to <= 0 is 0 for x > 0 and >= x otherwise, so the maximum
+    # gives the masked form's bits (x's own zero at x = +-0, as long as minimum and maximum
+    # return the same operand on ties); expm1 never sees x > 0, so it cannot overflow
+    out = np.minimum(xd, 0.0)
+    np.expm1(out, out=out)
+    if alpha != 1.0:
+        out *= alpha
+    np.maximum(out, xd, out=out)
     _ensure_finite(out, "elu")
     result = Tensor(out, check_finite=False)
     if tape is not None:
 
         def back(gout: np.ndarray):
-            # derivative built here, not at forward time, so the tape holds one array less
-            return [(x, gout * np.where(xd > 0.0, 1.0, out + alpha))]
+            # derivative built here, not at forward time, so the tape holds one array less:
+            # 1 for x > 0, else out + alpha <= alpha. The minimum caps the x > 0 entries at 1;
+            # x + alpha >= 1 there only when alpha == 1, so otherwise (x > 0) lifts them first
+            gx = out + alpha
+            if alpha != 1.0:
+                np.maximum(gx, xd > 0.0, out=gx)
+            np.minimum(gx, 1.0, out=gx)
+            gx *= gout
+            return [(x, gx)]
 
         tape.record(result, back)
     return result

@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+import ctss.evaluate
 from ctss.cli import main
 from ctss.coteaching import read_selection_log
 from ctss.data import load_raw
@@ -97,6 +98,19 @@ class TestConfigValidation:
                      "--out", str(tmp_path / "r")]) == 2
 
 
+def spy_folds(monkeypatch) -> list[int]:
+    """Records the target subject of every fold that starts training."""
+    started = []
+    run_fold = ctss.evaluate.run_fold
+
+    def spy(cohort, target, *args):
+        started.append(target)
+        return run_fold(cohort, target, *args)
+
+    monkeypatch.setattr(ctss.evaluate, "run_fold", spy)
+    return started
+
+
 class TestRun:
     def test_baseline_writes_one_csv_row_per_fold(self, toy_config, tmp_path):
         out = tmp_path / "run_baseline"
@@ -160,6 +174,38 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 4
         assert "absent.ctss" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("below", ["", "run"])
+    def test_out_at_or_under_a_file_exits_4_before_training(self, toy_config, tmp_path, capsys, monkeypatch,
+                                                           below):
+        file = tmp_path / "cohort.ctss"
+        file.write_bytes(b"not a directory")
+        out = file / below if below else file
+        folds = spy_folds(monkeypatch)
+        assert main(["run", "--config", str(toy_config), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert str(file) in err and len(err.strip().splitlines()) == 1
+        assert folds == []
+        assert file.read_bytes() == b"not a directory"
+
+    def test_out_with_another_cohorts_fold_exits_2_before_training(self, toy_config, tmp_path, capsys,
+                                                                   monkeypatch):
+        out = tmp_path / "r"
+        assert main(["run", "--config", str(toy_config), "--out", str(out)]) == 0
+        results = (out / "results.csv").read_bytes()
+        assert main(["run", "--config", str(toy_config), "--out", str(out)]) == 0  # same cohort: fine
+        assert (out / "results.csv").read_bytes() == results
+        capsys.readouterr()
+
+        cfg = tmp_path / "two.ini"
+        cfg.write_text(TOY_CONFIG.replace("n_subjects = 3", "n_subjects = 2"))
+        folds = spy_folds(monkeypatch)
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(out / "fold_002") in err and len(err.strip().splitlines()) == 1
+        assert folds == []
+        assert (out / "results.csv").read_bytes() == results  # nothing rewritten or deleted
+        assert (out / "fold_002" / "checkpoint.bin").exists()
 
     def test_parallel_folds_flag_matches_sequential(self, toy_config, tmp_path):
         seq, par = tmp_path / "seq", tmp_path / "par"

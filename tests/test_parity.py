@@ -1,0 +1,106 @@
+"""Bit-for-bit parity of training outputs against checked-in SHA-256 goldens.
+
+Each case runs a tiny leave-one-subject-out experiment and hashes what a run
+directory holds: ``results.csv``, and for the first fold its checkpoint bytes,
+its ``selections.jsonl`` and its per-epoch stats. A change that moves one bit
+of any of them fails here.
+
+BLAS kernels may sum in a different order on another CPU, so the goldens are
+keyed by the OpenBLAS core name; on a core with no goldens the test skips and
+names the core. A change that alters the bits on purpose must regenerate the
+goldens (run this module with ``CTSS_PRINT_GOLDENS=1`` and ``-s``) and say why.
+"""
+
+import ctypes
+import dataclasses
+import hashlib
+import json
+import os
+import threading
+
+import pytest
+
+import ctss.coteaching
+from ctss.coteaching import CoteachConfig, write_selection_log
+from ctss.data import GeneratorConfig, generate_cohort
+from ctss.evaluate import run_loso, write_results_csv
+from ctss.models import ModelConfig, save_checkpoint
+
+# one set per method: forcing network g onto the helper thread must not move a bit
+GOLDENS = {
+    "SkylakeX": {
+        "coteach": {
+            "results.csv": "474d0e9c4a6cb64871c73102c374abc93ba3fe13ae97b711fad3b499796b444a",
+            "checkpoint.bin": "569652d09e503db284e74f521d5d8769adf9046bec85ac920f2fb47687d1c5c4",
+            "selections.jsonl": "cf29a7546618cc46087613bdbf805e6290421a468e68943318df88cd12f4718d",
+            "epochs.json": "151d6e69407164e7dc1fd016bc7ac87463c1cd0a1bf31d5919fc87f0f471b043",
+        },
+        "baseline": {
+            "results.csv": "85c73e2d66ff90ad97ccd55a709e692dd1ec51b54b84ffb2636b1e79faee3028",
+            "checkpoint.bin": "e5f7d82d55ef807e029ff4083f38f0187ee5f3e05521bb15ada0e9bac8c7f5fc",
+            "selections.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",  # empty
+            "epochs.json": "26806e6f5241bb9116cb254532d5714dde040f35face321223616edabb4bfcf3",
+        },
+    },
+}
+
+
+def openblas_core() -> str | None:
+    """The OpenBLAS core numpy's BLAS runs on, or None where it cannot be asked."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split(maxsplit=5)[-1].strip() for line in fh
+                            if "openblas" in line.rsplit("/", 1)[-1].lower()})
+        for path in paths:
+            lib = ctypes.CDLL(path)
+            for name in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
+                if hasattr(lib, name):
+                    fn = getattr(lib, name)
+                    fn.argtypes, fn.restype = [], ctypes.c_char_p
+                    return fn().decode("ascii")
+    except OSError:  # no procfs (not Linux), or a library deleted since it was mapped
+        pass
+    return None
+
+
+def tiny_digests(tmp_path, method: str) -> dict[str, str]:
+    """SHA-256 of a tiny LOSO run's results.csv and of its first fold's outputs."""
+    # fold 0's best checkpoint is from the last epoch, and co-teaching drops a subject from epoch 1 on
+    gen = GeneratorConfig(n_subjects=4, n_imagery_classes=2, trials_per_class=8, n_electrodes=2,
+                          n_timesteps=64, snr=3.0, subject_shift_scale=0.3, noisy_subject_ids=(1,), seed=3)
+    model_config = ModelConfig(n_electrodes=2, n_timesteps=64, n_classes=3, width_base=2, n_blocks=2, seed=0)
+    run = run_loso(generate_cohort(gen), method, model_config, CoteachConfig(t_max=3, b=2, t_k=1, tau=0.5),
+                   gen, master_seed=7)
+    fold = run.folds[0]
+    write_results_csv(run, tmp_path / "results.csv")
+    save_checkpoint(fold.checkpoint.model, tmp_path / "checkpoint.bin")
+    write_selection_log(fold.selection_records, tmp_path / "selections.jsonl")
+    (tmp_path / "epochs.json").write_text(
+        json.dumps([dataclasses.asdict(s) for s in fold.epoch_stats], sort_keys=True), encoding="utf-8")
+    return {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("results.csv", "checkpoint.bin", "selections.jsonl", "epochs.json")}
+
+
+@pytest.mark.parametrize("method", ["coteach", "baseline"])
+@pytest.mark.parametrize("mode", ["serial", "helper"])
+def test_outputs_match_goldens(tmp_path, monkeypatch, method, mode):
+    core = openblas_core()
+    threads = set()
+    if mode == "helper":
+        # every batch is over the threshold, so the coteach pair trains on two threads
+        monkeypatch.setattr(ctss.coteaching, "_THREAD_MIN_VALUES", 0)
+        update = ctss.coteaching._masked_update
+
+        def spy(*args):
+            threads.add(threading.get_ident())
+            return update(*args)
+
+        monkeypatch.setattr(ctss.coteaching, "_masked_update", spy)
+    got = tiny_digests(tmp_path, method)
+    if os.environ.get("CTSS_PRINT_GOLDENS"):
+        print(f"\n{core!r}: {method!r} ({mode}): {json.dumps(got, indent=4)}")
+    if core not in GOLDENS:
+        pytest.skip(f"no parity goldens for OpenBLAS core {core!r}")
+    assert got == GOLDENS[core][method]
+    if mode == "helper":  # the baseline has no network g, so it stays on one thread
+        assert len(threads) == (2 if method == "coteach" else 1)

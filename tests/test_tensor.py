@@ -1,5 +1,6 @@
 """Tensor primitives: forward values, gradients, shapes, and failure modes."""
 
+import contextlib
 import math
 import warnings
 import weakref
@@ -7,6 +8,7 @@ import weakref
 import numpy as np
 import pytest
 
+from ctss.blas import single_blas_thread
 from ctss.errors import DimensionError, NumericError, StateError, ValidationError
 from ctss.tensor import (
     Tape,
@@ -22,6 +24,21 @@ from ctss.tensor import (
     softmax_cross_entropy,
 )
 from gradcheck import probe_gradients, random_tensor
+
+
+# (x shape, C_out, K, stride, padding): a grid of small cases, one whose taps 0-2
+# only ever see padding, and the conv layers of a full-size fold (B=72, E=4,
+# T=750, width 8), whose matmuls are large enough for other BLAS kernels
+CONV_ORACLE_CASES = [
+    pytest.param((3, 4, 19) if batched else (4, 19), 5, k, s, p, id=f"{k}-{s}-{p}-{batched}-19")
+    for k in (1, 3, 7) for s in (1, 2) for p in (0, 1, 3) for batched in (True, False)
+] + [
+    pytest.param((3, 4, 2), 5, 7, 1, 3, id="7-1-3-True-2"),
+    pytest.param((72, 4, 750), 8, 7, 2, 3, id="fullsize-stem"),
+    pytest.param((72, 8, 375), 8, 3, 2, 1, id="fullsize-block-stride2"),
+    pytest.param((72, 8, 188), 8, 3, 1, 1, id="fullsize-block"),
+    pytest.param((72, 8, 375), 8, 1, 2, 0, id="fullsize-shortcut"),
+]
 
 
 class TestConv1d:
@@ -94,20 +111,54 @@ class TestConv1d:
         grads = [tape.grad(t) for t in (x, k, b)]
         assert probe_gradients(value, [x, k, b], grads, rng, n_probes=30) < 1e-4
 
-    @pytest.mark.parametrize("k, stride, padding, batched, length", [
-        (k, s, p, batched, 19) for k in (1, 3, 7) for s in (1, 2) for p in (0, 1, 3) for batched in (True, False)
-    ] + [(7, 1, 3, True, 2)])  # the last case has taps that only ever see padding
-    def test_backward_bitwise_matches_per_tap_oracle(self, k, stride, padding, batched, length):
-        rng = np.random.default_rng(100 * k + 10 * stride + padding)
-        x = random_tensor(rng, (3, 4, length) if batched else (4, length))
-        kernels, bias = random_tensor(rng, (5, 4, k)), random_tensor(rng, (5,))
-        tape = Tape()
-        out = conv1d(x, kernels, bias, stride=stride, padding=padding, tape=tape)
-        gout = rng.normal(size=out.shape)
-        tape.backward(gout, output=out)
-        expected = _conv1d_backward_oracle(x.data, kernels.data, gout, stride, padding)
-        for got, want in zip((tape.grad(x), tape.grad(kernels), tape.grad(bias)), expected):
-            np.testing.assert_array_equal(got, want)
+    @pytest.mark.parametrize("x_shape, c_out, k, stride, padding", CONV_ORACLE_CASES)
+    def test_forward_bitwise_matches_im2col_oracle(self, x_shape, c_out, k, stride, padding):
+        x, kernels, bias, rng = _conv_case(x_shape, c_out, k, stride, padding)
+        for pinned in (False, True):
+            with single_blas_thread() if pinned else contextlib.nullcontext():
+                out = conv1d(x, kernels, bias, stride=stride, padding=padding)
+            np.testing.assert_array_equal(out.data, _conv1d_forward_oracle(x.data, kernels.data, bias.data,
+                                                                           stride, padding))
+
+    @pytest.mark.parametrize("x_shape, c_out, k, stride, padding", CONV_ORACLE_CASES)
+    def test_backward_bitwise_matches_per_tap_oracle(self, x_shape, c_out, k, stride, padding):
+        x, kernels, bias, rng = _conv_case(x_shape, c_out, k, stride, padding)
+        gout = None
+        for pinned in (False, True):
+            with single_blas_thread() if pinned else contextlib.nullcontext():
+                tape = Tape()
+                out = conv1d(x, kernels, bias, stride=stride, padding=padding, tape=tape)
+                gout = rng.normal(size=out.shape) if gout is None else gout
+                tape.backward(gout, output=out)
+            expected = _conv1d_backward_oracle(x.data, kernels.data, gout, stride, padding)
+            for got, want in zip((tape.grad(x), tape.grad(kernels), tape.grad(bias)), expected):
+                np.testing.assert_array_equal(got, want)
+
+
+def _conv_case(x_shape, c_out, k, stride, padding):
+    rng = np.random.default_rng(100 * k + 10 * stride + padding)
+    x = random_tensor(rng, x_shape)
+    kernels, bias = random_tensor(rng, (c_out, x_shape[-2], k)), random_tensor(rng, (c_out,))
+    return x, kernels, bias, rng
+
+
+def _conv1d_forward_oracle(x, kernels, bias, stride, padding):
+    """Output by one [B*L_out, C*K] im2col matmul, the bitwise reference."""
+    squeezed = x.ndim == 2
+    xb = x[None] if squeezed else x
+    b, c, length = xb.shape
+    c_out, _, k = kernels.shape
+    n_out = conv_output_length(length, k, stride, padding)
+    xp = np.zeros((b, c, length + 2 * padding))
+    xp[:, :, padding:padding + length] = xb
+    sb, sc, sl = xp.strides
+    windows = np.ascontiguousarray(
+        np.lib.stride_tricks.as_strided(xp, shape=(b, n_out, c, k), strides=(sb, sl * stride, sc, sl))
+    ).reshape(b * n_out, c * k)
+    out = np.empty((b, c_out, n_out))
+    np.add((windows @ kernels.reshape(c_out, c * k).T).reshape(b, n_out, c_out).transpose(0, 2, 1),
+           bias[None, :, None], out=out)
+    return out[0] if squeezed else out
 
 
 def _conv1d_backward_oracle(x, kernels, gout, stride, padding):
@@ -177,6 +228,30 @@ class TestElu:
             tape.backward(np.ones_like(xd), output=out)
         np.testing.assert_array_equal(out.data.view(np.uint64), ref.view(np.uint64))
         np.testing.assert_array_equal(tape.grad(x), np.where(xd > 0.0, 1.0, ref + alpha))
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5, 0.0])
+    def test_bitwise_matches_masked_form_at_every_magnitude(self, alpha):
+        """Output and gradient equal the masked form's bit for bit, sign bits included,
+        over magnitudes from subnormal to expm1's overflow and both signs."""
+        rng = np.random.default_rng(19)
+        sweep = np.logspace(-323, 2.9, 40_000)
+        xd = np.concatenate([rng.standard_normal(50_000), sweep, -sweep, [0.0, -0.0]])
+        gout = rng.standard_normal(xd.size)
+        gout[::7] = -0.0
+        with np.errstate(over="ignore", invalid="ignore"):  # expm1(800) is inf, and inf * 0 NaN
+            want = np.where(xd > 0.0, xd, alpha * np.expm1(xd))
+        tape = Tape()
+        x = Tensor(xd)
+        out = elu(x, alpha=alpha, tape=tape)
+        tape.backward(gout, output=out)
+        np.testing.assert_array_equal(out.data.view(np.uint64), want.view(np.uint64))
+        want_grad = gout * np.where(xd > 0.0, 1.0, want + alpha)
+        np.testing.assert_array_equal(tape.grad(x).view(np.uint64), want_grad.view(np.uint64))
+
+    @pytest.mark.parametrize("alpha", [-0.5, 1.5, float("nan")])
+    def test_alpha_outside_unit_interval_is_rejected(self, alpha):
+        with pytest.raises(ValidationError, match="alpha"):
+            elu(Tensor(np.ones(3)), alpha=alpha)
 
 
 class TestMaxPool1d:
