@@ -110,8 +110,11 @@ def cmd_run(args) -> int:
         fold_dir = out_dir / f"fold_{fold.record.target_subject:03d}"
         fold_dir.mkdir(parents=True, exist_ok=True)
         save_checkpoint(fold.checkpoint.model, fold_dir / "checkpoint.bin")
+        selections = fold_dir / "selections.jsonl"
         if fold.selection_records:
-            write_selection_log(fold.selection_records, fold_dir / "selections.jsonl")
+            write_selection_log(fold.selection_records, selections)
+        else:  # a baseline rerun must not leave an earlier co-teaching run's log behind
+            selections.unlink(missing_ok=True)
     manifest = {
         "command": "run",
         "config": echo,

@@ -266,7 +266,8 @@ def _masked_update(model: Model, opt_state: AdamState, forward: _TapedForward, m
     tape = forward.tape
     params = model.parameters()
     tape.backward(forward.grad * mask[:, None] / mask.sum(), output=forward.logits, wrt=params)
-    grads = [tape.grad(p) if tape.grad(p) is not None else np.zeros_like(p.data) for p in params]
+    grads = [tape.grad(p) for p in params]
+    grads = [np.zeros_like(p.data) if g is None else g for p, g in zip(params, grads)]
     if optimizer == "adam":
         adam_step(params, grads, opt_state, lr)
     else:
@@ -394,6 +395,7 @@ def train_coteaching(train, val, model_config: ModelConfig, config: CoteachConfi
     sched = CosineSchedule(config.lr, config.min_lr, config.t_max)
 
     best: Checkpoint | None = None
+    best_flat: np.ndarray | None = None  # the best network's parameters, snapshotted as it wins
     epoch_stats: list[EpochStats] = []
     selections: list[SelectionRecord] = []
     batch_values = config.b * len(batcher.subject_ids) * model_config.n_electrodes * model_config.n_timesteps
@@ -414,11 +416,15 @@ def train_coteaching(train, val, model_config: ModelConfig, config: CoteachConfi
             epoch_stats.append(EpochStats(epoch=t, remember_rate=r, lr=lr, val_accuracy=accs))
             for name, model in models.items():
                 if best is None or accs[name] > best.balanced_accuracy:
-                    best = Checkpoint(model=model.clone(), net=name, epoch=t, balanced_accuracy=accs[name])
+                    best = Checkpoint(model=model, net=name, epoch=t, balanced_accuracy=accs[name])
+                    best_flat = model.flat.copy()
             if epoch_callback is not None:
                 epoch_callback(t, models)
 
     assert best is not None
+    # the winning network trained on after its best epoch: the checkpoint gets a copy rewound to it
+    best.model = best.model.clone()
+    best.model.flat[...] = best_flat
     return TrainResult(checkpoint=best,
                        logs=RunLogs(selection_records=selections, epoch_stats=epoch_stats, m_max=m_max))
 

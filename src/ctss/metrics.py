@@ -20,9 +20,8 @@ def confusion_matrix(y_true, y_pred, n_classes: int) -> np.ndarray:
     for name, v in (("true", t), ("predicted", p)):
         if v.min() < 0 or v.max() >= n_classes:
             raise ValidationError(f"{name} labels outside [0, {n_classes})")
-    cm = np.zeros((n_classes, n_classes), dtype=np.int64)
-    np.add.at(cm, (t, p), 1)
-    return cm
+    counts = np.bincount(t * n_classes + p, minlength=n_classes * n_classes)
+    return counts.reshape(n_classes, n_classes).astype(np.int64, copy=False)
 
 
 def balanced_accuracy(cm: np.ndarray) -> float:

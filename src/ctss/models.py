@@ -150,12 +150,30 @@ class ResidualBlock:
 
 
 class Model:
-    """An ordered layer list with a shared forward/parameter protocol."""
+    """An ordered layer list with a shared forward/parameter protocol.
+
+    All parameters live in one contiguous float64 vector, ``flat``: each
+    parameter's ``data`` is a view of it, in :meth:`parameters` order. An
+    optimizer steps the whole network in one pass over the vector, and a
+    copy of the vector snapshots it.
+    """
 
     def __init__(self, layers: list, arch: dict, n_classes: int):
         self.layers = layers
         self.arch = arch  # builder name + kwargs, echoed into checkpoints
         self.n_classes = n_classes
+        self.flat = np.concatenate([p.data for p in self.parameters()], axis=None)
+        self._view_flat()
+
+    def _view_flat(self) -> None:
+        params = self.parameters()
+        for p, view in zip(params, T.split_views(self.flat, [p.shape for p in params])):
+            p.data = view
+
+    def __setstate__(self, state: dict) -> None:
+        # a copy or an unpickled model gets each parameter as its own array: view flat again
+        self.__dict__.update(state)
+        self._view_flat()
 
     def forward(self, x: Tensor, tape: Tape | None = None) -> Tensor:
         out = x
@@ -170,7 +188,7 @@ class Model:
         return params
 
     def n_parameters(self) -> int:
-        return sum(p.size for p in self.parameters())
+        return self.flat.size
 
     def clone(self) -> "Model":
         return copy.deepcopy(self)
@@ -310,9 +328,8 @@ def load_checkpoint(path) -> Model:
             if shape != p.shape:
                 raise DataFormatError(f"{path}: tensor shape {shape} does not match model shape {p.shape}")
             count = int(np.prod(shape)) if ndim else 1
-            data = np.frombuffer(view, dtype="<f8", count=count, offset=offset)
+            p.data[...] = np.frombuffer(view, dtype="<f8", count=count, offset=offset).reshape(shape)
             offset += 8 * count
-            p.data = np.ascontiguousarray(data.reshape(shape), dtype=np.float64)
     except (struct.error, ValueError, KeyError, IndexError, TypeError, ValidationError) as exc:
         # TypeError and ValidationError come from builder kwargs the builder rejects
         raise DataFormatError(f"{path}: truncated or malformed checkpoint ({exc})") from None

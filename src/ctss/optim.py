@@ -3,20 +3,26 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, NumericError, ValidationError
-from .tensor import Tensor
+from .tensor import Tensor, split_views
 
 
 @dataclass
 class AdamState:
-    """First/second moment buffers and step counter for one parameter list."""
+    """First/second moments, one vector each, and the step counter for one parameter list.
 
-    m: list[np.ndarray] = field(default_factory=list)
-    v: list[np.ndarray] = field(default_factory=list)
+    ``m`` and ``v`` hold per-tensor views of ``m_flat`` and ``v_flat``, in
+    parameter order.
+    """
+
+    m_flat: np.ndarray
+    v_flat: np.ndarray
+    m: list[np.ndarray]
+    v: list[np.ndarray]
     step: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
@@ -24,56 +30,61 @@ class AdamState:
 
     @classmethod
     def for_params(cls, params: list[Tensor]) -> "AdamState":
-        return cls(
-            m=[np.zeros_like(p.data) for p in params],
-            v=[np.zeros_like(p.data) for p in params],
-        )
+        shapes = [p.shape for p in params]
+        m_flat = np.zeros(sum(p.size for p in params))
+        v_flat = np.zeros_like(m_flat)
+        return cls(m_flat, v_flat, split_views(m_flat, shapes), split_views(v_flat, shapes))
 
 
 def adam_step(params: list[Tensor], grads: list[np.ndarray], state: AdamState, lr: float) -> None:
-    """One in-place Adam update over ``params``.
+    """One in-place Adam update over ``params``, in one pass over all their values.
 
     m <- b1 m + (1-b1) g, v <- b2 v + (1-b2) g^2, then the bias-corrected
-    step p <- p - lr * m_hat / (sqrt(v_hat) + eps).
+    step p <- p - lr * m_hat / (sqrt(v_hat) + eps). ``params`` is a model's
+    :meth:`~ctss.models.Model.parameters` or a single tensor.
     """
-    _check_aligned(params, grads, state)
+    p, g = _vectors(params, grads, state.m)
     state.step += 1
     t = state.step
     c1 = 1.0 - state.beta1 ** t
     c2 = 1.0 - state.beta2 ** t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
-        if not np.all(np.isfinite(p.data)):
-            raise NumericError("adam_step produced non-finite parameters")
+    m, v = state.m_flat, state.v_flat
+    m *= state.beta1
+    m += (1.0 - state.beta1) * g
+    v *= state.beta2
+    v += (1.0 - state.beta2) * (g * g)
+    p -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+    if not np.isfinite(p).all():
+        raise NumericError("adam_step produced non-finite parameters")
 
 
 def sgd_step(params: list[Tensor], grads: list[np.ndarray], lr: float) -> None:
     """Plain gradient step p <- p - lr * g (used for closed-form update checks)."""
-    if len(params) != len(grads):
-        raise DimensionError(f"{len(params)} params but {len(grads)} grads")
-    for p, g in zip(params, grads):
-        if p.data.shape != g.shape:
-            raise DimensionError(f"grad shape {g.shape} does not match param shape {p.data.shape}")
-        p.data -= lr * g
-        if not np.all(np.isfinite(p.data)):
-            raise NumericError("sgd_step produced non-finite parameters")
+    p, g = _vectors(params, grads)
+    p -= lr * g
+    if not np.isfinite(p).all():
+        raise NumericError("sgd_step produced non-finite parameters")
 
 
-def _check_aligned(params, grads, state: AdamState) -> None:
-    if not (len(params) == len(grads) == len(state.m) == len(state.v)):
-        raise DimensionError(
-            f"misaligned optimizer state: {len(params)} params, {len(grads)} grads, "
-            f"{len(state.m)} moment buffers"
-        )
-    for p, g, m in zip(params, grads, state.m):
-        if p.data.shape != g.shape or p.data.shape != m.shape:
-            raise DimensionError(
-                f"shape mismatch: param {p.data.shape}, grad {g.shape}, moment {m.shape}"
-            )
+def _vectors(params: list[Tensor], grads: list[np.ndarray], moments=None) -> tuple[np.ndarray, np.ndarray]:
+    """The vector ``params`` view, in order, and their gradients joined into one vector.
+
+    The tensors must be all of one model's parameters, views of its ``flat``
+    end to end, or a single tensor, whose contiguous data is a vector as it is.
+    """
+    shapes = [p.data.shape for p in params]
+    grad_shapes = [g.shape for g in grads]
+    moment_shapes = shapes if moments is None else [m.shape for m in moments]
+    if grad_shapes != shapes or moment_shapes != shapes:
+        raise DimensionError(f"misaligned optimizer inputs: param shapes {shapes}, grad shapes {grad_shapes}, "
+                             f"moment shapes {moment_shapes}")
+    g = np.concatenate(grads, axis=None)
+    if len(params) == 1:
+        return params[0].data.reshape(-1), g
+    flat = params[0].data.base
+    if flat is None or flat.size != g.size or not all([p.data.base is flat for p in params]):
+        raise DimensionError("optimizer parameters must be a single tensor or all of one model's parameters")
+    return flat, g
 
 
 @dataclass(frozen=True)

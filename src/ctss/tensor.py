@@ -13,6 +13,8 @@ matching rank.
 
 from __future__ import annotations
 
+import math
+from functools import lru_cache
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -47,7 +49,7 @@ class Tensor:
 
 
 def _ensure_finite(arr: np.ndarray, op: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NumericError(f"non-finite values produced by {op}")
 
 
@@ -154,6 +156,16 @@ def _as_batched(x: Tensor, op: str) -> tuple[np.ndarray, bool]:
     raise DimensionError(f"{op} expects a [C, L] or [B, C, L] input, got shape {tuple(x.shape)}")
 
 
+def split_views(flat: np.ndarray, shapes: Iterable[tuple[int, ...]]) -> list[np.ndarray]:
+    """Consecutive views of the vector ``flat``, one per shape, in order."""
+    views, offset = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[offset:offset + size].reshape(shape))
+        offset += size
+    return views
+
+
 def conv_output_length(length: int, kernel: int, stride: int, padding: int) -> int:
     return (length + 2 * padding - kernel) // stride + 1
 
@@ -166,12 +178,16 @@ def _sliding_windows(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
     return as_strided(x, shape=(b, c, n_out, kernel), strides=(sb, sc, sl * stride, sl), writeable=False)
 
 
-def _tap_windows(j: int, stride: int, padding: int, length: int, n_out: int) -> tuple[int, int, int]:
-    """(lo, hi, start): windows lo..hi-1 (none when lo == hi) are those whose tap j reads x
-    rather than padding, and window lo's tap j reads x at position start."""
-    lo = max(0, -((j - padding) // stride))
-    hi = max(lo, min(n_out, (padding + length - 1 - j) // stride + 1))
-    return lo, hi, lo * stride + j - padding
+@lru_cache(maxsize=64)
+def _tap_windows(k: int, stride: int, padding: int, length: int, n_out: int) -> tuple[tuple[int, int, int], ...]:
+    """(lo, hi, start) for each tap j < k: windows lo..hi-1 (none when lo == hi) are those whose
+    tap j reads x rather than padding, and window lo's tap j reads x at position start."""
+    taps = []
+    for j in range(k):
+        lo = max(0, -((j - padding) // stride))
+        hi = max(lo, min(n_out, (padding + length - 1 - j) // stride + 1))
+        taps.append((lo, hi, lo * stride + j - padding))
+    return tuple(taps)
 
 
 # ---------------------------------------------------------------------------
@@ -213,12 +229,14 @@ def conv1d(
     # one copy per tap j, running along L, with no padded copy of x. The matmul reads them
     # transposed, as [B*L_out, C_in*K] rows, because kflat @ cols sums in another order for some
     # small shapes
+    taps = _tap_windows(k, stride, padding, length, n_out)
     cols = np.empty((c, k, b, n_out), dtype=np.float64)
     xt = xb.transpose(1, 0, 2)
-    for j in range(k):
-        lo, hi, start = _tap_windows(j, stride, padding, length, n_out)
-        cols[:, j, :, :lo] = 0.0
-        cols[:, j, :, hi:] = 0.0
+    for j, (lo, hi, start) in enumerate(taps):
+        if lo:
+            cols[:, j, :, :lo] = 0.0
+        if hi < n_out:
+            cols[:, j, :, hi:] = 0.0
         cols[:, j, :, lo:hi] = xt[:, :, start:start + stride * (hi - lo):stride]
     cols = cols.reshape(c * k, b * n_out)
     kflat = kernels.data.reshape(c_out, c * k)
@@ -241,8 +259,7 @@ def conv1d(
             # spread[b, c, j, l] is tap j's share of input position l * stride + j - padding
             spread = np.matmul(kflat.T, g).reshape(b, c, k, n_out)
             gx = np.zeros((b, c, length), dtype=np.float64)
-            for j in range(k):  # taps in order j = 0..k-1, so overlapping windows always sum alike
-                lo, hi, start = _tap_windows(j, stride, padding, length, n_out)
+            for j, (lo, hi, start) in enumerate(taps):  # in order, so overlapping windows always sum alike
                 if lo < hi:
                     gx[:, :, start:start + stride * (hi - lo):stride] += spread[:, :, j, lo:hi]
             return [(x, gx[0] if squeezed else gx), (kernels, gker), (bias, gbias)]

@@ -207,6 +207,17 @@ class TestRun:
         assert (out / "results.csv").read_bytes() == results  # nothing rewritten or deleted
         assert (out / "fold_002" / "checkpoint.bin").exists()
 
+    def test_baseline_over_a_coteach_run_leaves_no_selection_logs(self, toy_config, tmp_path, capsys):
+        out = tmp_path / "r"
+        assert main(["run", "--config", str(toy_config), "--out", str(out), "--method", "coteach"]) == 0
+        assert len(list(out.glob("fold_*/selections.jsonl"))) == 3
+        assert main(["run", "--config", str(toy_config), "--out", str(out), "--method", "baseline"]) == 0
+        assert not list(out.glob("fold_*/selections.jsonl"))
+        assert len(list(out.glob("fold_*/checkpoint.bin"))) == 3
+        capsys.readouterr()
+        assert main(["report", str(out)]) == 0
+        assert "baseline" in capsys.readouterr().out
+
     def test_parallel_folds_flag_matches_sequential(self, toy_config, tmp_path):
         seq, par = tmp_path / "seq", tmp_path / "par"
         assert main(["run", "--config", str(toy_config), "--out", str(seq)]) == 0

@@ -190,6 +190,69 @@ class TestCrossUpdateStep:
         for p, q in zip(state.model_g.parameters(), ref_g.parameters()):
             np.testing.assert_array_equal(p.data, q.data)
 
+    @staticmethod
+    def per_tensor_reference(models, batches, lr, r, optimizer):
+        """Cross-updates with the optimizer looping over each parameter tensor on its own.
+
+        Returns each network's Adam moments, per tensor.
+        """
+        moments = [([np.zeros_like(p.data) for p in model.parameters()],
+                    [np.zeros_like(p.data) for p in model.parameters()]) for model in models]
+        b1, b2, eps = 0.9, 0.999, 1e-8
+        for t, batch in enumerate(batches, start=1):
+            forwards = []
+            for model in models:
+                tape = Tape()
+                logits = model.forward(batch.trials, tape)
+                losses, grad = softmax_cross_entropy(logits, batch.labels)
+                picks = select_small_loss_subjects(batch.subject_sums(losses.data), r)
+                forwards.append((tape, logits, grad.data, picks))
+            for model, (ms, vs), (tape, logits, grad, _), (*_, peer_picks) in zip(
+                    models, moments, forwards, forwards[::-1]):
+                mask = batch.sample_mask(peer_picks)
+                tape.backward(grad * mask[:, None] / mask.sum(), output=logits)
+                for p, m, v in zip(model.parameters(), ms, vs):
+                    g = tape.grad(p)
+                    if optimizer == "sgd":
+                        p.data -= lr * g
+                        continue
+                    m *= b1
+                    m += (1.0 - b1) * g
+                    v *= b2
+                    v += (1.0 - b2) * (g * g)
+                    p.data -= lr * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + eps)
+        return moments
+
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    def test_steps_match_per_tensor_reference(self, optimizer):
+        cohort, _ = toy_cohort(n_subjects=4)
+        state = make_state(toy_model_config(), CoteachConfig(optimizer=optimizer, seed=41))
+        refs = [state.model_f.clone(), state.model_g.clone()]
+        initial = [ref.flat.copy() for ref in refs]
+        batcher = SubjectBatcher(cohort, 3, np.random.default_rng(4))
+        batches = [batcher.next_batch() for _ in range(4)]
+        moments = self.per_tensor_reference(refs, batches, 0.02, 0.5, optimizer)
+        for batch in batches:
+            cross_update_step(state, batch, 0.02, 0.5)
+        for model, ref, start, adam, (ms, vs) in zip((state.model_f, state.model_g), refs, initial,
+                                                      (state.adam_f, state.adam_g), moments):
+            np.testing.assert_array_equal(model.flat, ref.flat)
+            assert not np.array_equal(model.flat, start)
+            if optimizer == "adam":
+                assert adam.step == len(batches)
+                np.testing.assert_array_equal(adam.m_flat, np.concatenate(ms, axis=None))
+                np.testing.assert_array_equal(adam.v_flat, np.concatenate(vs, axis=None))
+                for m, m_ref in zip(adam.m, ms):
+                    np.testing.assert_array_equal(m, m_ref)
+
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    def test_non_finite_update_raises(self, optimizer):
+        cohort, _ = toy_cohort(n_subjects=3)
+        state = make_state(toy_model_config(), CoteachConfig(optimizer=optimizer, seed=43))
+        batch = SubjectBatcher(cohort, 2, np.random.default_rng(6)).next_batch()
+        with pytest.raises(NumericError, match=f"{optimizer}_step produced non-finite parameters"):
+            cross_update_step(state, batch, math.inf, 1.0)
+
     def test_identical_networks_stay_identical_at_full_retention(self):
         cohort, _ = toy_cohort(n_subjects=3)
         model_f = build_mini_resnet1d(toy_model_config(seed=11))
@@ -335,6 +398,34 @@ class TestTrainCoteaching:
             assert (a.epoch, a.iteration, a.net) == (b.epoch, b.iteration, b.net)
             assert a.selected == b.selected
             np.testing.assert_allclose(a.loss_sums, b.loss_sums)
+
+    @pytest.mark.parametrize("method, accuracies, best", [
+        ("coteach", [0.5, 0.6, 0.9, 0.7, 0.8, 0.9], ("f", 2)),  # f, g per epoch; earlier epoch wins ties
+        ("baseline", [0.5, 0.9, 0.9], ("baseline", 2)),
+    ])
+    def test_checkpoint_is_the_network_at_its_best_epoch(self, monkeypatch, method, accuracies, best):
+        cohort, _ = toy_cohort(n_subjects=3)
+        train, val = train_val_split(cohort, 0.8, seed=3)
+        scripted = iter(accuracies)
+        seen = []  # each evaluated network's parameters, in evaluation order
+
+        def evaluate(model, datasets, n_classes):
+            seen.append(model.flat.copy())
+            return next(scripted)
+
+        monkeypatch.setattr(ctss.coteaching, "evaluate_balanced_accuracy", evaluate)
+        live = {}
+        result = train_coteaching(train, val, toy_model_config(), CoteachConfig(t_max=3, seed=47),
+                                  epoch_callback=lambda t, models: live.update(models), method=method)
+        ckpt = result.checkpoint
+        assert (ckpt.net, ckpt.epoch, ckpt.balanced_accuracy) == (*best, 0.9)
+        n_nets = len(live)
+        at_best = seen[(ckpt.epoch - 1) * n_nets + list(live).index(ckpt.net)]
+        np.testing.assert_array_equal(ckpt.model.flat, at_best)
+        # the network trained on after its best epoch; the checkpoint kept its own copy
+        assert not np.array_equal(live[ckpt.net].flat, at_best)
+        assert not np.shares_memory(ckpt.model.flat, live[ckpt.net].flat)
+        assert all(np.shares_memory(p.data, ckpt.model.flat) for p in ckpt.model.parameters())
 
     def test_empty_training_set_rejected(self):
         cohort, _ = toy_cohort(n_subjects=3)

@@ -72,6 +72,18 @@ class TestBalancedAccuracy:
         plain = float(np.mean(y_true == y_pred))
         assert abs(balanced_accuracy(cm) - plain) < 1e-12
 
+    @pytest.mark.parametrize("n", [1, 7, 500])
+    def test_confusion_matrix_matches_scattered_counts(self, n):
+        # class 3 never occurs, on either side
+        rng = np.random.default_rng(n)
+        y_true = rng.choice([0, 1, 2, 4], size=n)
+        y_pred = rng.choice([0, 1, 2, 4], size=n)
+        expected = np.zeros((5, 5), dtype=np.int64)
+        np.add.at(expected, (y_true, y_pred), 1)
+        cm = confusion_matrix(y_true, y_pred, 5)
+        assert cm.dtype == np.int64
+        np.testing.assert_array_equal(cm, expected)
+
 
 class TestTrainBaseline:
     def test_matches_coteaching_f_at_full_retention(self):

@@ -1,6 +1,7 @@
 """Model builders: stage arithmetic, init determinism, losses, checkpoints."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -229,6 +230,48 @@ class TestCheckpoint:
         save_checkpoint(model, path)
         with pytest.raises(DataFormatError):
             load_checkpoint(path)
+
+
+def copied(model, how, tmp_path):
+    if how == "build":
+        return model
+    if how == "clone":
+        return model.clone()
+    if how == "pickle":  # how fold workers return their checkpoints
+        return pickle.loads(pickle.dumps(model))
+    save_checkpoint(model, tmp_path / "model.bin")
+    return load_checkpoint(tmp_path / "model.bin")
+
+
+class TestFlatParameters:
+    @pytest.mark.parametrize("how", ["build", "clone", "pickle", "load_checkpoint"])
+    def test_parameters_are_views_of_flat_in_order(self, tmp_path, how):
+        source = build_mini_resnet1d(small_config(n_blocks=2, seed=19))
+        model = copied(source, how, tmp_path)
+        params = model.parameters()
+        assert model.flat.dtype == np.float64 and model.flat.flags.c_contiguous
+        assert model.flat.size == sum(p.size for p in params)
+        offset = 0
+        for p in params:
+            window = model.flat[offset:offset + p.size]
+            assert np.shares_memory(p.data, model.flat)
+            assert p.data.flags.c_contiguous and p.data.ctypes.data == window.ctypes.data
+            offset += p.size
+        if model is not source:
+            assert not np.shares_memory(model.flat, source.flat)
+        np.testing.assert_array_equal(model.flat, source.flat)
+
+    @pytest.mark.parametrize("how", ["build", "clone", "pickle", "load_checkpoint"])
+    def test_writing_flat_changes_the_forward(self, tmp_path, how):
+        source = build_mini_resnet1d(small_config(seed=23))
+        model = copied(source, how, tmp_path)
+        x = Tensor(np.random.default_rng(0).normal(size=(3, 4, 64)))
+        before = source.forward(x).data
+        np.testing.assert_array_equal(model.forward(x).data, before)
+        model.flat[...] = 0.0  # zero weights and biases: every logit is exactly 0
+        np.testing.assert_array_equal(model.forward(x).data, np.zeros((3, 3)))
+        if model is not source:
+            np.testing.assert_array_equal(source.forward(x).data, before)
 
 
 class TestConfigValidation:

@@ -6,8 +6,13 @@ import numpy as np
 import pytest
 
 from ctss.errors import DimensionError, ValidationError
+from ctss.models import ModelConfig, build_mini_resnet1d
 from ctss.optim import AdamState, CosineSchedule, adam_step, cosine_lr, sgd_step
 from ctss.tensor import Tensor
+
+
+def tiny_model():
+    return build_mini_resnet1d(ModelConfig(n_electrodes=1, n_timesteps=16, n_classes=2, width_base=1, n_blocks=1))
 
 
 class TestAdam:
@@ -53,6 +58,26 @@ class TestAdam:
         state = AdamState.for_params([p])
         with pytest.raises(DimensionError):
             adam_step([p], [np.zeros(3)], state, lr=0.1)
+
+    def test_moments_are_views_of_one_vector_each(self):
+        model = tiny_model()
+        params = model.parameters()
+        state = AdamState.for_params(params)
+        assert state.m_flat.shape == state.v_flat.shape == model.flat.shape
+        for moments, flat in ((state.m, state.m_flat), (state.v, state.v_flat)):
+            assert [m.shape for m in moments] == [p.shape for p in params]
+            assert all(np.shares_memory(m, flat) for m in moments)
+        adam_step(params, [np.ones(p.shape) for p in params], state, lr=0.1)
+        np.testing.assert_array_equal(np.concatenate(state.m, axis=None), state.m_flat)
+        np.testing.assert_allclose(state.m_flat, 0.1)
+
+    def test_tensors_of_no_one_vector_are_rejected(self):
+        params = [Tensor(np.zeros(2)), Tensor(np.zeros(3))]
+        grads = [np.ones(2), np.ones(3)]
+        with pytest.raises(DimensionError, match="one model"):
+            adam_step(params, grads, AdamState.for_params(params), lr=0.1)
+        with pytest.raises(DimensionError, match="one model"):
+            sgd_step(tiny_model().parameters()[:2], [np.ones((1, 1, 7)), np.ones(1)], lr=0.1)
 
     def test_sgd_step(self):
         p = Tensor(np.array([1.0, 2.0]))
