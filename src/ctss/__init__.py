@@ -1,67 +1,3 @@
 """Confidence-aware cross-subject training with dual-network subject selection."""
 
 __version__ = "0.1.0"
-
-from .coteaching import (
-    CoteachConfig,
-    CoteachState,
-    SelectionRecord,
-    SubjectBatch,
-    SubjectBatcher,
-    cross_update_step,
-    per_subject_loss_sums,
-    remember_rate,
-    select_small_loss_subjects,
-    train_coteaching,
-)
-from .data import (
-    GeneratorConfig,
-    SubjectDataset,
-    augment_rest_class,
-    generate_cohort,
-    load_raw,
-    loso_split,
-    save_raw,
-    train_val_split,
-)
-from .evaluate import run_loso, selection_frequency_report, train_baseline
-from .metrics import balanced_accuracy, confusion_matrix
-from .models import ModelConfig, build_mini_resnet1d, build_mlp, per_sample_losses
-from .optim import AdamState, CosineSchedule, adam_step, cosine_lr
-from .tensor import Tape, Tensor
-
-__all__ = [
-    "AdamState",
-    "CosineSchedule",
-    "CoteachConfig",
-    "CoteachState",
-    "GeneratorConfig",
-    "ModelConfig",
-    "SelectionRecord",
-    "SubjectBatch",
-    "SubjectBatcher",
-    "SubjectDataset",
-    "Tape",
-    "Tensor",
-    "adam_step",
-    "augment_rest_class",
-    "balanced_accuracy",
-    "build_mini_resnet1d",
-    "build_mlp",
-    "confusion_matrix",
-    "cosine_lr",
-    "cross_update_step",
-    "generate_cohort",
-    "load_raw",
-    "loso_split",
-    "per_sample_losses",
-    "per_subject_loss_sums",
-    "remember_rate",
-    "run_loso",
-    "save_raw",
-    "select_small_loss_subjects",
-    "selection_frequency_report",
-    "train_baseline",
-    "train_coteaching",
-    "train_val_split",
-]

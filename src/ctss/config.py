@@ -43,14 +43,14 @@ class ExperimentConfig:
     coteach: CoteachConfig = field(default_factory=CoteachConfig)
     run: RunConfig = field(default_factory=RunConfig)
 
-    def model_config(self, seed: int = 0) -> ModelConfig:
+    def model_config(self) -> ModelConfig:
+        """The network's shape; each network's init seed is set when training builds it."""
         return ModelConfig(
             n_electrodes=self.generator.n_electrodes,
             n_timesteps=self.generator.n_timesteps,
             n_classes=self.generator.n_imagery_classes + 1,
             width_base=self.model_width_base,
             n_blocks=self.model_n_blocks,
-            seed=seed,
         )
 
     def to_dict(self) -> dict:

@@ -210,11 +210,15 @@ def init_coteach_state(model_config: ModelConfig, config: CoteachConfig,
     if method not in METHODS:
         raise ValidationError(f"method must be one of {METHODS}, got {method!r}")
     model_f = build_mini_resnet1d(replace(model_config, seed=derive_seed(config.seed, "model-f")))
-    state = CoteachState(model_f, AdamState.for_params(model_f.parameters()), optimizer=config.optimizer)
+    state = CoteachState(model_f, _fresh_adam(model_f), optimizer=config.optimizer)
     if method == "coteach":
         state.model_g = build_mini_resnet1d(replace(model_config, seed=derive_seed(config.seed, "model-g")))
-        state.adam_g = AdamState.for_params(state.model_g.parameters())
+        state.adam_g = _fresh_adam(state.model_g)
     return state
+
+
+def _fresh_adam(model: Model) -> AdamState:
+    return AdamState(np.zeros_like(model.flat), np.zeros_like(model.flat))
 
 
 def remember_rate(t: int, t_k: int, tau: float) -> float:
@@ -266,12 +270,11 @@ def _masked_update(model: Model, opt_state: AdamState, forward: _TapedForward, m
     tape = forward.tape
     params = model.parameters()
     tape.backward(forward.grad * mask[:, None] / mask.sum(), output=forward.logits, wrt=params)
-    grads = [tape.grad(p) for p in params]
-    grads = [np.zeros_like(p.data) if g is None else g for p, g in zip(params, grads)]
+    grad = np.concatenate([tape.grad(p) for p in params], axis=None)  # in flat's order
     if optimizer == "adam":
-        adam_step(params, grads, opt_state, lr)
+        adam_step(model.flat, grad, opt_state, lr)
     else:
-        sgd_step(params, grads, lr)
+        sgd_step(model.flat, grad, lr)
 
 
 def _per_network(helper: ThreadPoolExecutor | None, calls: list) -> list:

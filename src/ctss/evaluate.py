@@ -128,8 +128,8 @@ def run_loso(cohort, method: str, model_config: ModelConfig, train_config: Cotea
     freqs: dict[int, float] = {}
     if method == "coteach":
         per_subject: dict[int, list[float]] = {}
+        window = final_epoch_window(train_config.t_max)
         for out in outputs:
-            window = final_epoch_window(train_config.t_max)
             report = selection_frequency_report(out.selection_records, window)
             for sid, row in report.items():
                 per_subject.setdefault(sid, []).append(row["pooled"])
@@ -147,16 +147,13 @@ def run_loso(cohort, method: str, model_config: ModelConfig, train_config: Cotea
     return LosoRun(summary=summary, folds=outputs)
 
 
-def final_epoch_window(t_max: int, fraction: float = 0.25) -> tuple[int, int]:
-    """Inclusive epoch range covering the trailing ``fraction`` of a run."""
-    if not 0.0 < fraction <= 1.0:
-        raise ValidationError(f"window fraction must be in (0, 1], got {fraction}")
-    start = int(t_max * (1.0 - fraction)) + 1
+def final_epoch_window(t_max: int) -> tuple[int, int]:
+    """Inclusive epoch range covering the trailing quarter of a run."""
+    start = int(t_max * 0.75) + 1
     return min(start, t_max), t_max
 
 
-def selection_frequency_report(records, window: tuple[int, int],
-                               subject_ids=None) -> dict[int, dict[str, float]]:
+def selection_frequency_report(records, window: tuple[int, int]) -> dict[int, dict[str, float]]:
     """Per-subject fraction of iterations selected inside the epoch window.
 
     Returns {subject_id: {"f": .., "g": .., "pooled": ..}} where pooled is
@@ -170,11 +167,10 @@ def selection_frequency_report(records, window: tuple[int, int],
         raise ValidationError(
             f"window [{lo}, {hi}] outside logged epochs [{min(epochs)}, {max(epochs)}]"
         )
-    if subject_ids is None:
-        universe: set[int] = set()
-        for rec in records:
-            universe.update(rec.subject_ids if rec.subject_ids else rec.selected)
-        subject_ids = sorted(universe)
+    universe: set[int] = set()
+    for rec in records:
+        universe.update(rec.subject_ids if rec.subject_ids else rec.selected)
+    subject_ids = sorted(universe)
 
     counts = {net: 0 for net in ("f", "g")}
     hits = {net: {sid: 0 for sid in subject_ids} for net in ("f", "g")}
@@ -183,8 +179,7 @@ def selection_frequency_report(records, window: tuple[int, int],
             continue
         counts[rec.net] += 1
         for sid in rec.selected:
-            if sid in hits[rec.net]:
-                hits[rec.net][sid] += 1
+            hits[rec.net][sid] += 1
 
     report: dict[int, dict[str, float]] = {}
     for sid in subject_ids:

@@ -1,4 +1,4 @@
-"""Network builders: a scalable Mini-ResNet1D backbone and a small MLP.
+"""The network: a scalable Mini-ResNet1D backbone, and its checkpoint file.
 
 The ResNet1D follows a conv stem (k=7, stride 2) and up to four residual
 stages. Stage widths double per stage starting from ``width_base``; each
@@ -79,51 +79,6 @@ class Linear:
         return [self.weight, self.bias]
 
 
-class Elu:
-    def __init__(self, alpha: float = 1.0):
-        self.alpha = alpha
-
-    def forward(self, x: Tensor, tape: Tape | None) -> Tensor:
-        return T.elu(x, self.alpha, tape=tape)
-
-    def parameters(self) -> list[Tensor]:
-        return []
-
-
-class MaxPool1d:
-    def __init__(self, k: int, stride: int):
-        self.k = k
-        self.stride = stride
-
-    def forward(self, x: Tensor, tape: Tape | None) -> Tensor:
-        return T.maxpool1d(x, self.k, self.stride, tape=tape)
-
-    def parameters(self) -> list[Tensor]:
-        return []
-
-
-class AdaptiveAvgPool1d:
-    def __init__(self, out_len: int):
-        self.out_len = out_len
-
-    def forward(self, x: Tensor, tape: Tape | None) -> Tensor:
-        return T.adaptive_avg_pool1d(x, self.out_len, tape=tape)
-
-    def parameters(self) -> list[Tensor]:
-        return []
-
-
-class Flatten:
-    """Collapse all trailing axes into one: [B, ...] -> [B, prod(...)]."""
-
-    def forward(self, x: Tensor, tape: Tape | None) -> Tensor:
-        b = x.shape[0]
-        return T.reshape(x, (b, int(np.prod(x.shape[1:]))), tape=tape)
-
-    def parameters(self) -> list[Tensor]:
-        return []
-
-
 class ResidualBlock:
     """conv(k=3, stride s) -> ELU -> conv(k=3) plus identity or 1x1 strided shortcut."""
 
@@ -150,18 +105,21 @@ class ResidualBlock:
 
 
 class Model:
-    """An ordered layer list with a shared forward/parameter protocol.
+    """The backbone: a stem conv, residual stages and a linear head.
 
-    All parameters live in one contiguous float64 vector, ``flat``: each
-    parameter's ``data`` is a view of it, in :meth:`parameters` order. An
+    Each stage is two residual blocks and a flag for the 4/4 max pool that
+    ends it. All parameters live in one contiguous float64 vector, ``flat``:
+    each parameter's ``data`` is a view of it, in :meth:`parameters` order. An
     optimizer steps the whole network in one pass over the vector, and a
     copy of the vector snapshots it.
     """
 
-    def __init__(self, layers: list, arch: dict, n_classes: int):
-        self.layers = layers
+    def __init__(self, stem: Conv1d, stages: list[tuple[ResidualBlock, ResidualBlock, bool]], head: Linear,
+                 arch: dict):
+        self.stem = stem
+        self.stages = stages
+        self.head = head
         self.arch = arch  # builder name + kwargs, echoed into checkpoints
-        self.n_classes = n_classes
         self.flat = np.concatenate([p.data for p in self.parameters()], axis=None)
         self._view_flat()
 
@@ -176,19 +134,21 @@ class Model:
         self._view_flat()
 
     def forward(self, x: Tensor, tape: Tape | None = None) -> Tensor:
-        out = x
-        for layer in self.layers:
-            out = layer.forward(out, tape)
-        return out
+        """Logits [B, n_classes] for a batch of trials [B, E, T]."""
+        h = T.elu(self.stem.forward(x, tape), tape=tape)
+        for first, second, pool in self.stages:
+            h = second.forward(first.forward(h, tape), tape)
+            if pool:
+                h = T.maxpool1d(h, 4, 4, tape=tape)
+        h = T.adaptive_avg_pool1d(T.elu(h, tape=tape), 1, tape=tape)
+        h = T.reshape(h, (h.shape[0], h.shape[1]), tape=tape)
+        return self.head.forward(h, tape)
 
     def parameters(self) -> list[Tensor]:
-        params: list[Tensor] = []
-        for layer in self.layers:
-            params.extend(layer.parameters())
-        return params
-
-    def n_parameters(self) -> int:
-        return self.flat.size
+        params = self.stem.parameters()
+        for first, second, _ in self.stages:
+            params += first.parameters() + second.parameters()
+        return params + self.head.parameters()
 
     def clone(self) -> "Model":
         return copy.deepcopy(self)
@@ -201,7 +161,6 @@ def build_mini_resnet1d(config: ModelConfig) -> Model:
     collapse below one sample.
     """
     rng = np.random.default_rng(np.random.PCG64(config.seed))
-    layers: list = []
     length = config.n_timesteps
 
     def shrink(stage: str, new_length: int) -> int:
@@ -212,62 +171,30 @@ def build_mini_resnet1d(config: ModelConfig) -> Model:
             )
         return new_length
 
-    layers.append(Conv1d(config.n_electrodes, config.width_base, 7, 2, 3, rng))
-    layers.append(Elu())
+    stem = Conv1d(config.n_electrodes, config.width_base, 7, 2, 3, rng)
     length = shrink("stem conv", T.conv_output_length(length, 7, 2, 3))
 
+    stages = []
     channels = config.width_base
     for stage in range(config.n_blocks):
         width = config.width_base * (2 ** stage)
         name = f"stage {stage + 1}"
         length = shrink(name, T.conv_output_length(length, 3, 2, 1))
-        layers.append(ResidualBlock(channels, width, 2, rng))
-        layers.append(ResidualBlock(width, width, 1, rng))
+        first = ResidualBlock(channels, width, 2, rng)
+        second = ResidualBlock(width, width, 1, rng)
         channels = width
-        if stage >= 2:
+        pool = stage >= 2
+        if pool:
             if length < 4:
                 raise ValidationError(
                     f"model too deep for n_timesteps={config.n_timesteps}: "
                     f"{name} max pool needs length >= 4, got {length}"
                 )
-            layers.append(MaxPool1d(4, 4))
             length = shrink(f"{name} max pool", (length - 4) // 4 + 1)
+        stages.append((first, second, pool))
 
-    layers.append(Elu())
-    layers.append(AdaptiveAvgPool1d(1))
-    layers.append(Flatten())
-    layers.append(Linear(channels, config.n_classes, rng))
-
-    return Model(layers, {"builder": "mini_resnet1d", "kwargs": asdict(config)}, config.n_classes)
-
-
-def resnet_stage_lengths(config: ModelConfig) -> list[int]:
-    """Sequence length after the stem and after each stage (pools included)."""
-    length = T.conv_output_length(config.n_timesteps, 7, 2, 3)
-    lengths = [length]
-    for stage in range(config.n_blocks):
-        length = T.conv_output_length(length, 3, 2, 1)
-        if stage >= 2:
-            length = (length - 4) // 4 + 1
-        lengths.append(length)
-    return lengths
-
-
-def build_mlp(in_dim: int, hidden_dims: list[int], n_classes: int, seed: int = 0) -> Model:
-    """Flatten -> (linear -> ELU)* -> linear stack ending in n_classes logits."""
-    if in_dim < 1 or n_classes < 1 or any(h < 1 for h in hidden_dims):
-        raise ValidationError(f"mlp dims must be positive, got in={in_dim}, hidden={hidden_dims}, out={n_classes}")
-    rng = np.random.default_rng(np.random.PCG64(seed))
-    layers: list = [Flatten()]
-    prev = in_dim
-    for h in hidden_dims:
-        layers.append(Linear(prev, h, rng))
-        layers.append(Elu())
-        prev = h
-    layers.append(Linear(prev, n_classes, rng))
-    arch = {"builder": "mlp", "kwargs": {"in_dim": in_dim, "hidden_dims": list(hidden_dims),
-                                         "n_classes": n_classes, "seed": seed}}
-    return Model(layers, arch, n_classes)
+    head = Linear(channels, config.n_classes, rng)
+    return Model(stem, stages, head, {"builder": "mini_resnet1d", "kwargs": asdict(config)})
 
 
 def per_sample_losses(model: Model, batch: Tensor, labels) -> np.ndarray:
@@ -277,12 +204,6 @@ def per_sample_losses(model: Model, batch: Tensor, labels) -> np.ndarray:
     logits = model.forward(batch, tape=None)
     losses, _ = T.softmax_cross_entropy(logits, labels)
     return losses.data
-
-
-_BUILDERS = {
-    "mini_resnet1d": lambda kwargs: build_mini_resnet1d(ModelConfig(**kwargs)),
-    "mlp": lambda kwargs: build_mlp(**kwargs),
-}
 
 
 def save_checkpoint(model: Model, path) -> None:
@@ -313,8 +234,9 @@ def load_checkpoint(path) -> Model:
     try:
         arch = json.loads(bytes(view[offset:offset + arch_len]).decode("utf-8"))
         offset += arch_len
-        builder = _BUILDERS[arch["builder"]]
-        model = builder(arch["kwargs"])
+        if not isinstance(arch, dict) or arch.get("builder") != "mini_resnet1d":
+            raise DataFormatError(f"{path}: not a mini_resnet1d checkpoint")
+        model = build_mini_resnet1d(ModelConfig(**arch["kwargs"]))
         (n_params,) = struct.unpack_from("<I", view, offset)
         offset += 4
         params = model.parameters()
@@ -331,7 +253,7 @@ def load_checkpoint(path) -> Model:
             p.data[...] = np.frombuffer(view, dtype="<f8", count=count, offset=offset).reshape(shape)
             offset += 8 * count
     except (struct.error, ValueError, KeyError, IndexError, TypeError, ValidationError) as exc:
-        # TypeError and ValidationError come from builder kwargs the builder rejects
+        # TypeError and ValidationError come from model kwargs ModelConfig rejects
         raise DataFormatError(f"{path}: truncated or malformed checkpoint ({exc})") from None
     if offset != len(view):
         raise DataFormatError(f"{path}: {len(view) - offset} trailing bytes after parameters")

@@ -8,47 +8,34 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, NumericError, ValidationError
-from .tensor import Tensor, split_views
 
 
 @dataclass
 class AdamState:
-    """First/second moments, one vector each, and the step counter for one parameter list.
+    """First/second moments, one vector each, and the step counter for one parameter vector."""
 
-    ``m`` and ``v`` hold per-tensor views of ``m_flat`` and ``v_flat``, in
-    parameter order.
-    """
-
-    m_flat: np.ndarray
-    v_flat: np.ndarray
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
 
-    @classmethod
-    def for_params(cls, params: list[Tensor]) -> "AdamState":
-        shapes = [p.shape for p in params]
-        m_flat = np.zeros(sum(p.size for p in params))
-        v_flat = np.zeros_like(m_flat)
-        return cls(m_flat, v_flat, split_views(m_flat, shapes), split_views(v_flat, shapes))
 
-
-def adam_step(params: list[Tensor], grads: list[np.ndarray], state: AdamState, lr: float) -> None:
-    """One in-place Adam update over ``params``, in one pass over all their values.
+def adam_step(p: np.ndarray, g: np.ndarray, state: AdamState, lr: float) -> None:
+    """One in-place Adam update of the parameter vector ``p`` (a model's ``flat``) by its gradient ``g``.
 
     m <- b1 m + (1-b1) g, v <- b2 v + (1-b2) g^2, then the bias-corrected
-    step p <- p - lr * m_hat / (sqrt(v_hat) + eps). ``params`` is a model's
-    :meth:`~ctss.models.Model.parameters` or a single tensor.
+    step p <- p - lr * m_hat / (sqrt(v_hat) + eps).
     """
-    p, g = _vectors(params, grads, state.m)
+    if g.shape != p.shape or state.m.shape != p.shape or state.v.shape != p.shape:
+        raise DimensionError(f"misaligned optimizer inputs: param shape {p.shape}, grad shape {g.shape}, "
+                             f"moment shapes {state.m.shape} and {state.v.shape}")
     state.step += 1
     t = state.step
     c1 = 1.0 - state.beta1 ** t
     c2 = 1.0 - state.beta2 ** t
-    m, v = state.m_flat, state.v_flat
+    m, v = state.m, state.v
     m *= state.beta1
     m += (1.0 - state.beta1) * g
     v *= state.beta2
@@ -58,33 +45,13 @@ def adam_step(params: list[Tensor], grads: list[np.ndarray], state: AdamState, l
         raise NumericError("adam_step produced non-finite parameters")
 
 
-def sgd_step(params: list[Tensor], grads: list[np.ndarray], lr: float) -> None:
+def sgd_step(p: np.ndarray, g: np.ndarray, lr: float) -> None:
     """Plain gradient step p <- p - lr * g (used for closed-form update checks)."""
-    p, g = _vectors(params, grads)
+    if g.shape != p.shape:
+        raise DimensionError(f"misaligned optimizer inputs: param shape {p.shape}, grad shape {g.shape}")
     p -= lr * g
     if not np.isfinite(p).all():
         raise NumericError("sgd_step produced non-finite parameters")
-
-
-def _vectors(params: list[Tensor], grads: list[np.ndarray], moments=None) -> tuple[np.ndarray, np.ndarray]:
-    """The vector ``params`` view, in order, and their gradients joined into one vector.
-
-    The tensors must be all of one model's parameters, views of its ``flat``
-    end to end, or a single tensor, whose contiguous data is a vector as it is.
-    """
-    shapes = [p.data.shape for p in params]
-    grad_shapes = [g.shape for g in grads]
-    moment_shapes = shapes if moments is None else [m.shape for m in moments]
-    if grad_shapes != shapes or moment_shapes != shapes:
-        raise DimensionError(f"misaligned optimizer inputs: param shapes {shapes}, grad shapes {grad_shapes}, "
-                             f"moment shapes {moment_shapes}")
-    g = np.concatenate(grads, axis=None)
-    if len(params) == 1:
-        return params[0].data.reshape(-1), g
-    flat = params[0].data.base
-    if flat is None or flat.size != g.size or not all([p.data.base is flat for p in params]):
-        raise DimensionError("optimizer parameters must be a single tensor or all of one model's parameters")
-    return flat, g
 
 
 @dataclass(frozen=True)

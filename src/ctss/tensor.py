@@ -6,9 +6,8 @@ exact reverse order of the forward calls and accumulates gradients keyed by
 tensor identity. All arithmetic is float64 on CPU, so identical inputs
 produce bitwise-identical outputs.
 
-Sequence inputs are channel-major: a single trial is ``[C, L]`` and a batch
-is ``[B, C, L]``. The sequence primitives accept either rank and return the
-matching rank.
+Sequence inputs are channel-major batches ``[B, C, L]``; the sequence
+primitives take no other rank, so a single trial is a batch of one.
 """
 
 from __future__ import annotations
@@ -147,15 +146,6 @@ class Tape:
 # shape helpers
 
 
-def _as_batched(x: Tensor, op: str) -> tuple[np.ndarray, bool]:
-    """Promote [C, L] to [1, C, L]; reject other ranks."""
-    if x.ndim == 2:
-        return x.data[None, :, :], True
-    if x.ndim == 3:
-        return x.data, False
-    raise DimensionError(f"{op} expects a [C, L] or [B, C, L] input, got shape {tuple(x.shape)}")
-
-
 def split_views(flat: np.ndarray, shapes: Iterable[tuple[int, ...]]) -> list[np.ndarray]:
     """Consecutive views of the vector ``flat``, one per shape, in order."""
     views, offset = [], 0
@@ -204,10 +194,11 @@ def conv1d(
 ) -> Tensor:
     """Strided cross-correlation along the last axis.
 
-    ``x`` is [C_in, L] or [B, C_in, L]; ``kernels`` is [C_out, C_in, K];
-    ``bias`` is [C_out]. Output length is floor((L + 2p - K)/s) + 1.
+    ``x`` is [B, C_in, L]; ``kernels`` is [C_out, C_in, K]; ``bias`` is
+    [C_out]. Output length is floor((L + 2p - K)/s) + 1.
     """
-    xb, squeezed = _as_batched(x, "conv1d")
+    if x.ndim != 3:
+        raise DimensionError(f"conv1d expects a [B, C, L] input, got shape {tuple(x.shape)}")
     if kernels.ndim != 3:
         raise DimensionError(f"conv1d kernels must be [C_out, C_in, K], got shape {tuple(kernels.shape)}")
     c_out, c_in, k = kernels.shape
@@ -215,7 +206,7 @@ def conv1d(
         raise DimensionError(f"conv1d bias must have shape [{c_out}], got {tuple(bias.shape)}")
     if stride < 1 or padding < 0:
         raise ValidationError(f"conv1d needs stride >= 1 and padding >= 0, got {stride}, {padding}")
-    b, c, length = xb.shape
+    b, c, length = x.shape
     if c != c_in:
         raise DimensionError(f"conv1d input has {c} channels but kernels expect {c_in}")
     padded_len = length + 2 * padding
@@ -231,7 +222,7 @@ def conv1d(
     # small shapes
     taps = _tap_windows(k, stride, padding, length, n_out)
     cols = np.empty((c, k, b, n_out), dtype=np.float64)
-    xt = xb.transpose(1, 0, 2)
+    xt = x.data.transpose(1, 0, 2)
     for j, (lo, hi, start) in enumerate(taps):
         if lo:
             cols[:, j, :, :lo] = 0.0
@@ -244,25 +235,24 @@ def conv1d(
     out = np.empty((b, c_out, n_out), dtype=np.float64)
     np.add((cols.T @ kflat.T).reshape(b, n_out, c_out).transpose(0, 2, 1), bias.data[None, :, None], out=out)
     _ensure_finite(out, "conv1d")
-    result = Tensor(out[0] if squeezed else out, check_finite=False)
+    result = Tensor(out, check_finite=False)
 
     if tape is not None:
 
         def back(gout: np.ndarray):
-            g = gout[None, :, :] if squeezed else gout
-            gbias = g.sum(axis=(0, 2))
+            gbias = gout.sum(axis=(0, 2))
             # gflat stays the reduction operand: the product in the other orientation sums in another order
-            gflat = np.ascontiguousarray(g.transpose(0, 2, 1)).reshape(b * n_out, c_out)
+            gflat = np.ascontiguousarray(gout.transpose(0, 2, 1)).reshape(b * n_out, c_out)
             gker = (gflat.T @ cols.T).reshape(c_out, c, k)
             if not tape.wants(x):
                 return [(kernels, gker), (bias, gbias)]
             # spread[b, c, j, l] is tap j's share of input position l * stride + j - padding
-            spread = np.matmul(kflat.T, g).reshape(b, c, k, n_out)
+            spread = np.matmul(kflat.T, gout).reshape(b, c, k, n_out)
             gx = np.zeros((b, c, length), dtype=np.float64)
             for j, (lo, hi, start) in enumerate(taps):  # in order, so overlapping windows always sum alike
                 if lo < hi:
                     gx[:, :, start:start + stride * (hi - lo):stride] += spread[:, :, j, lo:hi]
-            return [(x, gx[0] if squeezed else gx), (kernels, gker), (bias, gbias)]
+            return [(x, gx), (kernels, gker), (bias, gbias)]
 
         tape.record(result, back)
     return result
@@ -303,29 +293,29 @@ def elu(x: Tensor, alpha: float = 1.0, tape: Optional[Tape] = None) -> Tensor:
 
 def maxpool1d(x: Tensor, k: int, stride: int, tape: Optional[Tape] = None) -> Tensor:
     """Windowed maximum along the last axis; gradient flows to the first argmax."""
-    xb, squeezed = _as_batched(x, "maxpool1d")
+    if x.ndim != 3:
+        raise DimensionError(f"maxpool1d expects a [B, C, L] input, got shape {tuple(x.shape)}")
     if k < 1 or stride < 1:
         raise ValidationError(f"maxpool1d needs k >= 1 and stride >= 1, got {k}, {stride}")
-    b, c, length = xb.shape
+    b, c, length = x.shape
     if k > length:
         raise DimensionError(f"maxpool1d window {k} exceeds input length {length}")
-    windows = _sliding_windows(xb, k, stride)
+    windows = _sliding_windows(x.data, k, stride)
     out = windows.max(axis=3)
     _ensure_finite(out, "maxpool1d")
-    result = Tensor(out[0] if squeezed else out, check_finite=False)
+    result = Tensor(out, check_finite=False)
 
     if tape is not None:
         argmax = windows.argmax(axis=3)  # first maximal index on ties
         n_out = out.shape[2]
 
         def back(gout: np.ndarray):
-            g = gout[None, :, :] if squeezed else gout
             gx = np.zeros((b, c, length), dtype=np.float64)
             bi = np.arange(b)[:, None, None]
             ci = np.arange(c)[None, :, None]
             pos = np.arange(n_out)[None, None, :] * stride + argmax
-            np.add.at(gx, (bi, ci, pos), g)
-            return [(x, gx[0] if squeezed else gx)]
+            np.add.at(gx, (bi, ci, pos), gout)
+            return [(x, gx)]
 
         tape.record(result, back)
     return result
@@ -333,27 +323,27 @@ def maxpool1d(x: Tensor, k: int, stride: int, tape: Optional[Tape] = None) -> Te
 
 def adaptive_avg_pool1d(x: Tensor, out_len: int, tape: Optional[Tape] = None) -> Tensor:
     """Mean over contiguous bins covering the last axis; out_len=1 is the global mean."""
-    xb, squeezed = _as_batched(x, "adaptive_avg_pool1d")
+    if x.ndim != 3:
+        raise DimensionError(f"adaptive_avg_pool1d expects a [B, C, L] input, got shape {tuple(x.shape)}")
     if out_len < 1:
         raise ValidationError(f"adaptive_avg_pool1d needs out_len >= 1, got {out_len}")
-    b, c, length = xb.shape
+    b, c, length = x.shape
     if out_len > length:
         raise DimensionError(f"adaptive_avg_pool1d out_len {out_len} exceeds input length {length}")
     bounds = [((i * length) // out_len, -((-(i + 1) * length) // out_len)) for i in range(out_len)]
     out = np.empty((b, c, out_len), dtype=np.float64)
     for i, (lo, hi) in enumerate(bounds):
-        out[:, :, i] = xb[:, :, lo:hi].mean(axis=2)
+        out[:, :, i] = x.data[:, :, lo:hi].mean(axis=2)
     _ensure_finite(out, "adaptive_avg_pool1d")
-    result = Tensor(out[0] if squeezed else out, check_finite=False)
+    result = Tensor(out, check_finite=False)
 
     if tape is not None:
 
         def back(gout: np.ndarray):
-            g = gout[None, :, :] if squeezed else gout
             gx = np.zeros((b, c, length), dtype=np.float64)
             for i, (lo, hi) in enumerate(bounds):
-                gx[:, :, lo:hi] += g[:, :, i:i + 1] / (hi - lo)
-            return [(x, gx[0] if squeezed else gx)]
+                gx[:, :, lo:hi] += gout[:, :, i:i + 1] / (hi - lo)
+            return [(x, gx)]
 
         tape.record(result, back)
     return result

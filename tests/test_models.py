@@ -1,4 +1,4 @@
-"""Model builders: stage arithmetic, init determinism, losses, checkpoints."""
+"""The network: stage arithmetic, init determinism, losses, checkpoints."""
 
 import math
 import pickle
@@ -10,13 +10,11 @@ from ctss.errors import DataFormatError, ValidationError
 from ctss.models import (
     ModelConfig,
     build_mini_resnet1d,
-    build_mlp,
     load_checkpoint,
     per_sample_losses,
-    resnet_stage_lengths,
     save_checkpoint,
 )
-from ctss.tensor import Tape, Tensor, softmax_cross_entropy
+from ctss.tensor import Tape, Tensor, maxpool1d, softmax_cross_entropy
 from gradcheck import probe_gradients
 
 
@@ -26,11 +24,25 @@ def small_config(**overrides):
     return ModelConfig(**base)
 
 
+def tiny_model():
+    return build_mini_resnet1d(ModelConfig(n_electrodes=1, n_timesteps=16, n_classes=2, width_base=1, n_blocks=1))
+
+
 class TestResnetBuilder:
     def test_full_scale_stage_lengths(self):
         cfg = ModelConfig(n_electrodes=60, n_timesteps=750, n_classes=2,
                           width_base=32, n_blocks=4, seed=1)
-        assert resnet_stage_lengths(cfg) == [375, 188, 94, 11, 1]
+        model = build_mini_resnet1d(cfg)
+        # sequence length after the stem and after each stage, its max pool included
+        h = model.stem.forward(Tensor(np.zeros((1, 60, 750))), None)
+        lengths = [h.shape[2]]
+        for first, second, pool in model.stages:
+            h = second.forward(first.forward(h, None), None)
+            if pool:
+                h = maxpool1d(h, 4, 4)
+            lengths.append(h.shape[2])
+        assert lengths == [375, 188, 94, 11, 1]
+        assert [pool for *_, pool in model.stages] == [False, False, True, True]
 
     def test_full_scale_forward_shape(self):
         cfg = ModelConfig(n_electrodes=60, n_timesteps=750, n_classes=2,
@@ -57,7 +69,7 @@ class TestResnetBuilder:
         block1 = (w * w * 3 + w) + (w * w * 3 + w) + (w * w * 1 + w)
         block2 = (w * w * 3 + w) + (w * w * 3 + w)
         head = 2 * w + 2
-        assert model.n_parameters() == stem + block1 + block2 + head
+        assert model.flat.size == stem + block1 + block2 + head
 
     def test_too_deep_raises_naming_stage(self):
         with pytest.raises(ValidationError, match="stage"):
@@ -134,25 +146,6 @@ class TestResnetBuilder:
         assert probe_gradients(value, [batch], [full.grad(batch)], rng, n_probes=20) < 1e-4
 
 
-class TestMlp:
-    def test_output_width(self):
-        model = build_mlp(8, [16], 2, seed=0)
-        rng = np.random.default_rng(0)
-        logits = model.forward(Tensor(rng.normal(size=(5, 8))))
-        assert logits.shape == (5, 2)
-
-    def test_zeroed_weights_give_uniform_softmax(self):
-        model = build_mlp(6, [4], 3, seed=0)
-        for p in model.parameters():
-            p.data[:] = 0.0
-        losses = per_sample_losses(model, Tensor(np.random.default_rng(1).normal(size=(4, 6))),
-                                   np.array([0, 1, 2, 0]))
-        np.testing.assert_allclose(losses, math.log(3.0), atol=1e-12)
-
-    def test_parameter_count(self):
-        assert build_mlp(8, [16], 2, seed=0).n_parameters() == 8 * 16 + 16 + 16 * 2 + 2
-
-
 class TestPerSampleLosses:
     def test_zero_weight_model_gives_log_c(self):
         model = build_mini_resnet1d(small_config(n_classes=3))
@@ -192,18 +185,9 @@ class TestCheckpoint:
         for pa, pb in zip(model.parameters(), loaded.parameters()):
             np.testing.assert_array_equal(pa.data, pb.data)
 
-    def test_mlp_roundtrip(self, tmp_path):
-        model = build_mlp(5, [7, 3], 2, seed=17)
-        path = tmp_path / "mlp.bin"
-        save_checkpoint(model, path)
-        loaded = load_checkpoint(path)
-        rng = np.random.default_rng(0)
-        x = Tensor(rng.normal(size=(3, 5)))
-        np.testing.assert_array_equal(model.forward(x).data, loaded.forward(x).data)
-
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "model.bin"
-        save_checkpoint(build_mlp(2, [], 2, seed=0), path)
+        save_checkpoint(tiny_model(), path)
         raw = bytearray(path.read_bytes())
         raw[0] ^= 0xFF
         path.write_bytes(bytes(raw))
@@ -212,19 +196,19 @@ class TestCheckpoint:
 
     def test_truncated_file(self, tmp_path):
         path = tmp_path / "model.bin"
-        save_checkpoint(build_mlp(2, [], 2, seed=0), path)
+        save_checkpoint(tiny_model(), path)
         path.write_bytes(path.read_bytes()[:-9])
         with pytest.raises(DataFormatError):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("arch", [
         {"builder": "mini_resnet1d", "kwargs": {"bogus": 1}},
-        {"builder": "mlp", "kwargs": [5, [], 2]},
+        {"builder": "mlp", "kwargs": [5, [], 2]},  # a builder that no longer exists
         {"builder": "mini_resnet1d", "kwargs": dict(vars(small_config()), n_blocks=9)},
         ["mlp"],
     ])
     def test_malformed_builder_kwargs(self, tmp_path, arch):
-        model = build_mlp(2, [], 2, seed=0)
+        model = tiny_model()
         model.arch = arch
         path = tmp_path / "model.bin"
         save_checkpoint(model, path)

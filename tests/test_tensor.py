@@ -26,11 +26,12 @@ from ctss.tensor import (
 from gradcheck import probe_gradients, random_tensor
 
 
-# (x shape, C_out, K, stride, padding): a grid of small cases, one whose taps 0-2
-# only ever see padding, and the conv layers of a full-size fold (B=72, E=4,
-# T=750, width 8), whose matmuls are large enough for other BLAS kernels
+# (x shape, C_out, K, stride, padding): a grid of small cases, each at B=3 and at
+# B=1 (batched=False: a single trial, as a batch of one), one whose taps 0-2 only
+# ever see padding, and the conv layers of a full-size fold (B=72, E=4, T=750,
+# width 8), whose matmuls are large enough for other BLAS kernels
 CONV_ORACLE_CASES = [
-    pytest.param((3, 4, 19) if batched else (4, 19), 5, k, s, p, id=f"{k}-{s}-{p}-{batched}-19")
+    pytest.param((3 if batched else 1, 4, 19), 5, k, s, p, id=f"{k}-{s}-{p}-{batched}-19")
     for k in (1, 3, 7) for s in (1, 2) for p in (0, 1, 3) for batched in (True, False)
 ] + [
     pytest.param((3, 4, 2), 5, 7, 1, 3, id="7-1-3-True-2"),
@@ -43,21 +44,21 @@ CONV_ORACLE_CASES = [
 
 class TestConv1d:
     def test_identity_kernel(self):
-        x = Tensor(np.ones((1, 5)))
+        x = Tensor(np.ones((1, 1, 5)))
         out = conv1d(x, Tensor(np.ones((1, 1, 1))), Tensor(np.zeros(1)))
-        np.testing.assert_array_equal(out.data, np.ones((1, 5)))
+        np.testing.assert_array_equal(out.data, np.ones((1, 1, 5)))
 
     def test_hand_convolution(self):
-        x = Tensor(np.array([[1.0, 2.0, 3.0, 4.0]]))
+        x = Tensor(np.array([[[1.0, 2.0, 3.0, 4.0]]]))
         out = conv1d(x, Tensor(np.ones((1, 1, 2))), Tensor(np.zeros(1)))
-        np.testing.assert_allclose(out.data, [[3.0, 5.0, 7.0]])
+        np.testing.assert_allclose(out.data, [[[3.0, 5.0, 7.0]]])
 
     def test_full_scale_shape(self):
         rng = np.random.default_rng(0)
-        x = random_tensor(rng, (60, 750))
+        x = random_tensor(rng, (1, 60, 750))
         k = Tensor(rng.normal(size=(32, 60, 7)) * 0.05)
         out = conv1d(x, k, Tensor(np.zeros(32)), stride=2, padding=3)
-        assert out.shape == (32, 375)
+        assert out.shape == (1, 32, 375)
 
     def test_batched_matches_per_sample(self):
         rng = np.random.default_rng(1)
@@ -66,16 +67,16 @@ class TestConv1d:
         b = random_tensor(rng, (4,))
         batched = conv1d(xb, k, b, stride=2, padding=1)
         for i in range(3):
-            single = conv1d(Tensor(xb.data[i]), k, b, stride=2, padding=1)
-            np.testing.assert_array_equal(batched.data[i], single.data)
+            single = conv1d(Tensor(xb.data[i:i + 1]), k, b, stride=2, padding=1)
+            np.testing.assert_array_equal(batched.data[i:i + 1], single.data)
 
     def test_kernel_larger_than_input(self):
-        x = Tensor(np.ones((1, 4)))
+        x = Tensor(np.ones((1, 1, 4)))
         with pytest.raises(DimensionError):
             conv1d(x, Tensor(np.ones((1, 1, 9))), Tensor(np.zeros(1)))
 
     def test_channel_mismatch(self):
-        x = Tensor(np.ones((2, 8)))
+        x = Tensor(np.ones((1, 2, 8)))
         with pytest.raises(DimensionError):
             conv1d(x, Tensor(np.ones((1, 3, 3))), Tensor(np.zeros(1)))
 
@@ -91,10 +92,10 @@ class TestConv1d:
             n_out = conv_output_length(length, k, stride, padding)
             if n_out < 1:
                 continue
-            x = random_tensor(rng, (2, length))
+            x = random_tensor(rng, (1, 2, length))
             out = conv1d(x, random_tensor(rng, (3, 2, k)), random_tensor(rng, (3,)),
                          stride=stride, padding=padding)
-            assert out.shape == (3, n_out)
+            assert out.shape == (1, 3, n_out)
 
     def test_gradients(self):
         rng = np.random.default_rng(11)
@@ -144,13 +145,11 @@ def _conv_case(x_shape, c_out, k, stride, padding):
 
 def _conv1d_forward_oracle(x, kernels, bias, stride, padding):
     """Output by one [B*L_out, C*K] im2col matmul, the bitwise reference."""
-    squeezed = x.ndim == 2
-    xb = x[None] if squeezed else x
-    b, c, length = xb.shape
+    b, c, length = x.shape
     c_out, _, k = kernels.shape
     n_out = conv_output_length(length, k, stride, padding)
     xp = np.zeros((b, c, length + 2 * padding))
-    xp[:, :, padding:padding + length] = xb
+    xp[:, :, padding:padding + length] = x
     sb, sc, sl = xp.strides
     windows = np.ascontiguousarray(
         np.lib.stride_tricks.as_strided(xp, shape=(b, n_out, c, k), strides=(sb, sl * stride, sc, sl))
@@ -158,20 +157,17 @@ def _conv1d_forward_oracle(x, kernels, bias, stride, padding):
     out = np.empty((b, c_out, n_out))
     np.add((windows @ kernels.reshape(c_out, c * k).T).reshape(b, n_out, c_out).transpose(0, 2, 1),
            bias[None, :, None], out=out)
-    return out[0] if squeezed else out
+    return out
 
 
-def _conv1d_backward_oracle(x, kernels, gout, stride, padding):
+def _conv1d_backward_oracle(x, kernels, g, stride, padding):
     """(gx, gker, gbias) by a per-tap scatter in [B, L, C] layout, the bitwise reference."""
-    squeezed = x.ndim == 2
-    xb = x[None] if squeezed else x
-    g = gout[None] if squeezed else gout
-    b, c, length = xb.shape
+    b, c, length = x.shape
     c_out, _, k = kernels.shape
     n_out = g.shape[2]
     padded_len = length + 2 * padding
     xp = np.zeros((b, c, padded_len))
-    xp[:, :, padding:padding + length] = xb
+    xp[:, :, padding:padding + length] = x
     sb, sc, sl = xp.strides
     windows = np.ascontiguousarray(
         np.lib.stride_tricks.as_strided(xp, shape=(b, n_out, c, k), strides=(sb, sl * stride, sc, sl))
@@ -185,7 +181,22 @@ def _conv1d_backward_oracle(x, kernels, gout, stride, padding):
     for j in range(k):
         gxp[:, j:j + stride * n_out:stride, :] += spread[:, :, :, j]
     gx = np.ascontiguousarray(gxp[:, padding:padding + length, :].transpose(0, 2, 1))
-    return (gx[0] if squeezed else gx), gker, gbias
+    return gx, gker, gbias
+
+
+class TestSequenceRank:
+    @pytest.mark.parametrize("op", [
+        lambda x: conv1d(x, Tensor(np.ones((1, 2, 3))), Tensor(np.zeros(1))),
+        lambda x: maxpool1d(x, 2, 2),
+        lambda x: adaptive_avg_pool1d(x, 1),
+    ], ids=["conv1d", "maxpool1d", "adaptive_avg_pool1d"])
+    def test_unbatched_input_is_rejected(self, op):
+        # a single trial [C, L] must come as a batch of one, [1, C, L]
+        with pytest.raises(DimensionError, match=r"\[B, C, L\]"):
+            op(Tensor(np.ones((2, 8))))
+        with pytest.raises(DimensionError, match=r"\[B, C, L\]"):
+            op(Tensor(np.ones((1, 1, 2, 8))))
+        assert op(Tensor(np.ones((1, 2, 8)))).ndim == 3
 
 
 class TestElu:
@@ -256,29 +267,29 @@ class TestElu:
 
 class TestMaxPool1d:
     def test_single_window(self):
-        out = maxpool1d(Tensor(np.array([[1.0, 3.0, 2.0, 8.0]])), 4, 4)
-        np.testing.assert_array_equal(out.data, [[8.0]])
+        out = maxpool1d(Tensor(np.array([[[1.0, 3.0, 2.0, 8.0]]])), 4, 4)
+        np.testing.assert_array_equal(out.data, [[[8.0]]])
 
     def test_constant_input(self):
-        out = maxpool1d(Tensor(np.full((3, 8), 2.5)), 2, 2)
-        np.testing.assert_array_equal(out.data, np.full((3, 4), 2.5))
+        out = maxpool1d(Tensor(np.full((1, 3, 8), 2.5)), 2, 2)
+        np.testing.assert_array_equal(out.data, np.full((1, 3, 4), 2.5))
 
     def test_stride_equal_kernel_shape(self):
         rng = np.random.default_rng(3)
         for length in (16, 94, 250):
-            out = maxpool1d(random_tensor(rng, (128, length)), 4, 4)
-            assert out.shape == (128, length // 4)
+            out = maxpool1d(random_tensor(rng, (1, 128, length)), 4, 4)
+            assert out.shape == (1, 128, length // 4)
 
     def test_window_too_large(self):
         with pytest.raises(DimensionError):
-            maxpool1d(Tensor(np.ones((1, 3))), 4, 4)
+            maxpool1d(Tensor(np.ones((1, 1, 3))), 4, 4)
 
     def test_gradient_goes_to_first_argmax(self):
-        x = Tensor(np.array([[1.0, 5.0, 5.0, 0.0]]))
+        x = Tensor(np.array([[[1.0, 5.0, 5.0, 0.0]]]))
         tape = Tape()
         out = maxpool1d(x, 4, 4, tape=tape)
         tape.backward(np.ones_like(out.data), output=out)
-        np.testing.assert_array_equal(tape.grad(x), [[0.0, 1.0, 0.0, 0.0]])
+        np.testing.assert_array_equal(tape.grad(x), [[[0.0, 1.0, 0.0, 0.0]]])
 
     def test_gradients(self):
         rng = np.random.default_rng(17)
@@ -298,31 +309,31 @@ class TestMaxPool1d:
             length = int(rng.integers(2, 40))
             k = int(rng.integers(1, min(length, 6) + 1))
             stride = int(rng.integers(1, 5))
-            out = maxpool1d(random_tensor(rng, (2, length)), k, stride)
-            assert out.shape == (2, (length - k) // stride + 1)
+            out = maxpool1d(random_tensor(rng, (1, 2, length)), k, stride)
+            assert out.shape == (1, 2, (length - k) // stride + 1)
             pooled_len = int(rng.integers(1, length + 1))
-            avg = adaptive_avg_pool1d(random_tensor(rng, (2, length)), pooled_len)
-            assert avg.shape == (2, pooled_len)
+            avg = adaptive_avg_pool1d(random_tensor(rng, (1, 2, length)), pooled_len)
+            assert avg.shape == (1, 2, pooled_len)
 
 
 class TestAdaptiveAvgPool1d:
     def test_global_mean(self):
-        out = adaptive_avg_pool1d(Tensor(np.array([[2.0, 4.0, 6.0]])), 1)
-        np.testing.assert_allclose(out.data, [[4.0]])
+        out = adaptive_avg_pool1d(Tensor(np.array([[[2.0, 4.0, 6.0]]])), 1)
+        np.testing.assert_allclose(out.data, [[[4.0]]])
 
     def test_identity_binning(self):
         rng = np.random.default_rng(5)
-        x = random_tensor(rng, (3, 9))
+        x = random_tensor(rng, (1, 3, 9))
         out = adaptive_avg_pool1d(x, 9)
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_zeros(self):
-        out = adaptive_avg_pool1d(Tensor(np.zeros((2, 10))), 3)
-        np.testing.assert_array_equal(out.data, np.zeros((2, 3)))
+        out = adaptive_avg_pool1d(Tensor(np.zeros((1, 2, 10))), 3)
+        np.testing.assert_array_equal(out.data, np.zeros((1, 2, 3)))
 
     def test_out_len_too_large(self):
         with pytest.raises(DimensionError):
-            adaptive_avg_pool1d(Tensor(np.ones((1, 3))), 4)
+            adaptive_avg_pool1d(Tensor(np.ones((1, 1, 3))), 4)
 
     def test_gradients(self):
         rng = np.random.default_rng(19)
