@@ -2,8 +2,8 @@
 
 Every key has a default, so an empty file (or no overrides) runs the standard
 recipe: tau=0.2, t_k=10, subject-wise batch size 8, Adam at lr 0.01 with
-single-cycle cosine annealing. Model input dimensions and class count derive
-from the generator section (classes = imagery classes + 1 for rest).
+single-cycle cosine annealing to 0. Model input dimensions and class count
+derive from the generator section (classes = imagery classes + 1 for rest).
 """
 
 from __future__ import annotations
@@ -54,26 +54,25 @@ class ExperimentConfig:
         )
 
     def to_dict(self) -> dict:
-        return {
+        """Every INI key, section by section, with the value it has here."""
+        sections = {
             "generator": asdict(self.generator),
             "model": {"width_base": self.model_width_base, "n_blocks": self.model_n_blocks},
             "coteach": asdict(self.coteach),
             "run": asdict(self.run),
         }
+        return {name: {key: sections[name][key] for key in keys} for name, keys in _PARSERS.items()}
 
 
 _PARSERS = {
     "generator": {
         "n_subjects": int, "n_imagery_classes": int, "trials_per_class": int,
         "n_electrodes": int, "n_timesteps": int, "snr": float,
-        "subject_shift_scale": float, "noisy_subject_ids": "int_list",
-        "noise_mode": str, "seed": int,
+        "subject_shift_scale": float, "noisy_subject_ids": "int_list", "seed": int,
     },
     "model": {"width_base": int, "n_blocks": int},
-    "coteach": {
-        "tau": float, "t_k": int, "t_max": int, "m_max": int, "b": int,
-        "lr": float, "min_lr": float, "optimizer": str, "seed": int,
-    },
+    # not CoteachConfig's optimizer and seed: sgd is for single-step checks, and run_fold seeds each fold
+    "coteach": {"tau": float, "t_k": int, "t_max": int, "b": int, "lr": float},
     "run": {
         "method": str, "master_seed": int, "val_ratio": float,
         "parallel_folds": int, "out_dir": str, "cohort_file": str,
@@ -123,13 +122,8 @@ def load_config(path) -> ExperimentConfig:
         generator = GeneratorConfig(**gen_kwargs)
         coteach = CoteachConfig(**coteach_kwargs)
         run = RunConfig(**run_kwargs)
-        cfg = ExperimentConfig(
-            generator=generator,
-            model_width_base=model_kwargs.get("width_base", 8),
-            model_n_blocks=model_kwargs.get("n_blocks", 1),
-            coteach=coteach,
-            run=run,
-        )
+        model = {f"model_{key}": value for key, value in model_kwargs.items()}
+        cfg = ExperimentConfig(generator=generator, coteach=coteach, run=run, **model)
         cfg.model_config()  # validates derived model dimensions eagerly
     except ValidationError:
         raise

@@ -38,7 +38,7 @@ from .errors import ValidationError
 from .heap import keep_freed_memory
 from .metrics import evaluate_balanced_accuracy
 from .models import Model, ModelConfig, build_mini_resnet1d, per_sample_losses
-from .optim import AdamState, CosineSchedule, adam_step, cosine_lr, sgd_step
+from .optim import AdamState, adam_step, cosine_lr, sgd_step
 from .seeding import derive_seed
 from .tensor import Tape, Tensor, softmax_cross_entropy
 
@@ -55,12 +55,10 @@ class CoteachConfig:
     tau: float = 0.2
     t_k: int = 10
     t_max: int = 30
-    m_max: int | None = None  # default: one pass over the scarcest subject
     b: int = 8
     lr: float = 0.01
-    min_lr: float = 0.0
     optimizer: str = "adam"  # "sgd" exists for closed-form single-step checks
-    seed: int = 0
+    seed: int = 0  # run_fold sets each fold's own
 
     def __post_init__(self):
         if not 0.0 <= self.tau < 1.0:
@@ -68,12 +66,8 @@ class CoteachConfig:
         for name in ("t_k", "t_max", "b"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"coteach.{name} must be positive, got {getattr(self, name)}")
-        if self.m_max is not None and self.m_max < 1:
-            raise ValidationError(f"coteach.m_max must be positive, got {self.m_max}")
         if not self.lr > 0:
             raise ValidationError(f"coteach.lr must be > 0, got {self.lr}")
-        if self.min_lr < 0 or self.min_lr > self.lr:
-            raise ValidationError(f"coteach.min_lr must be in [0, lr], got {self.min_lr}")
         if self.optimizer not in ("adam", "sgd"):
             raise ValidationError(f"coteach.optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
 
@@ -391,11 +385,10 @@ def train_coteaching(train, val, model_config: ModelConfig, config: CoteachConfi
     if not train or not val:
         raise ValidationError("training and validation sets must both be nonempty")
     keep_freed_memory()  # each step reuses the last one's freed activations instead of faulting them in
-    m_max = config.m_max if config.m_max is not None else default_m_max(train, config.b)
+    m_max = default_m_max(train, config.b)
     state = init_coteach_state(model_config, config, method)
     batcher = SubjectBatcher(train, config.b,
                              np.random.default_rng(np.random.PCG64(derive_seed(config.seed, "batches"))))
-    sched = CosineSchedule(config.lr, config.min_lr, config.t_max)
 
     best: Checkpoint | None = None
     best_flat: np.ndarray | None = None  # the best network's parameters, snapshotted as it wins
@@ -405,7 +398,7 @@ def train_coteaching(train, val, model_config: ModelConfig, config: CoteachConfi
     with _network_g_helper(method == "coteach" and batch_values >= _THREAD_MIN_VALUES) as helper:
         for t in range(1, config.t_max + 1):
             r = remember_rate(t, config.t_k, config.tau) if method == "coteach" else 1.0
-            lr = cosine_lr(t - 1, sched)
+            lr = cosine_lr(t - 1, config.lr, config.t_max)
             for it in range(1, m_max + 1):
                 records = cross_update_step(state, batcher.next_batch(), lr, r, epoch=t, iteration=it,
                                             helper=helper)

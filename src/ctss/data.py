@@ -69,8 +69,6 @@ class GeneratorConfig:
     snr: float = 2.0
     subject_shift_scale: float = 0.5
     noisy_subject_ids: tuple[int, ...] = ()
-    noise_mode: str = "rest"  # "rest": imagery trials become template-free;
-    #                           "label_shuffle": real trials, permuted labels
     seed: int = 0
 
     def __post_init__(self):
@@ -81,9 +79,6 @@ class GeneratorConfig:
             raise ValidationError(f"generator.snr must be > 0, got {self.snr}")
         if self.subject_shift_scale < 0:
             raise ValidationError(f"generator.subject_shift_scale must be >= 0, got {self.subject_shift_scale}")
-        if self.noise_mode not in ("rest", "label_shuffle"):
-            raise ValidationError(
-                f"generator.noise_mode must be 'rest' or 'label_shuffle', got {self.noise_mode!r}")
         bad = [i for i in self.noisy_subject_ids if not 0 <= i < self.n_subjects]
         if bad:
             raise ValidationError(f"generator.noisy_subject_ids {bad} outside 0..{self.n_subjects - 1}")
@@ -123,29 +118,20 @@ def subject_offset(config: GeneratorConfig, subject_id: int) -> np.ndarray:
 
 def generate_cohort(config: GeneratorConfig) -> list[SubjectDataset]:
     """Imagery-labeled datasets for all subjects (rest trials come from augmentation)."""
-    templates = [class_template(config, c) for c in range(config.n_imagery_classes)]
+    shape = (config.n_imagery_classes, config.trials_per_class, config.n_electrodes, config.n_timesteps)
+    templates = np.stack([class_template(config, c) for c in range(config.n_imagery_classes)])[:, None]
+    labels = np.repeat(np.arange(config.n_imagery_classes, dtype=np.int64), config.trials_per_class)
     sigma = 1.0 / config.snr
     cohort = []
     for sid in range(config.n_subjects):
         offset = subject_offset(config, sid)
         noisy = sid in config.noisy_subject_ids
         rng = np.random.default_rng(np.random.PCG64(derive_seed(config.seed, "trials", sid)))
-        n = config.n_imagery_classes * config.trials_per_class
-        trials = np.empty((n, config.n_electrodes, config.n_timesteps), dtype=np.float64)
-        labels = np.empty(n, dtype=np.int64)
-        drop_template = noisy and config.noise_mode == "rest"
-        row = 0
-        for c in range(config.n_imagery_classes):
-            for _ in range(config.trials_per_class):
-                noise = rng.normal(0.0, sigma, size=offset.shape)
-                signal = offset + noise if drop_template else templates[c] + offset + noise
-                trials[row] = signal
-                labels[row] = c
-                row += 1
-        if noisy and config.noise_mode == "label_shuffle":
-            labels = labels[rng.permutation(n)]
-        cohort.append(SubjectDataset(subject_id=sid, trials=Tensor(trials), labels=labels,
-                                     is_noisy=noisy))
+        # one draw for all trials, in trial order: the same values as one draw per trial
+        trials = rng.normal(0.0, sigma, size=shape)
+        trials += offset if noisy else templates + offset  # templates: [classes, 1, E, T]
+        cohort.append(SubjectDataset(subject_id=sid, trials=Tensor(trials.reshape(-1, *shape[2:])),
+                                     labels=labels.copy(), is_noisy=noisy))
     return cohort
 
 

@@ -8,6 +8,8 @@ from .errors import ValidationError
 from .models import Model
 from .tensor import Tensor
 
+_PREDICT_CHUNK = 256  # trials per untaped forward, so evaluation never holds a whole split's activations
+
 
 def confusion_matrix(y_true, y_pred, n_classes: int) -> np.ndarray:
     """Count matrix with rows = true class, columns = predicted class."""
@@ -37,14 +39,14 @@ def balanced_accuracy(cm: np.ndarray) -> float:
     return float(recalls.mean())
 
 
-def predict_classes(model: Model, trials: Tensor, chunk: int = 256) -> np.ndarray:
+def predict_classes(model: Model, trials: Tensor) -> np.ndarray:
     """Argmax class per trial, evaluated without gradient tracking."""
     n = trials.shape[0]
     out = np.empty(n, dtype=np.int64)
-    for start in range(0, n, chunk):
-        block = Tensor(trials.data[start:start + chunk], check_finite=False)
+    for start in range(0, n, _PREDICT_CHUNK):
+        block = Tensor(trials.data[start:start + _PREDICT_CHUNK], check_finite=False)
         logits = model.forward(block, tape=None)
-        out[start:start + chunk] = np.argmax(logits.data, axis=1)
+        out[start:start + _PREDICT_CHUNK] = np.argmax(logits.data, axis=1)
     return out
 
 

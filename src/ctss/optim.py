@@ -9,6 +9,10 @@ import numpy as np
 
 from .errors import DimensionError, NumericError, ValidationError
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 @dataclass
 class AdamState:
@@ -17,9 +21,6 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 def adam_step(p: np.ndarray, g: np.ndarray, state: AdamState, lr: float) -> None:
@@ -33,14 +34,14 @@ def adam_step(p: np.ndarray, g: np.ndarray, state: AdamState, lr: float) -> None
                              f"moment shapes {state.m.shape} and {state.v.shape}")
     state.step += 1
     t = state.step
-    c1 = 1.0 - state.beta1 ** t
-    c2 = 1.0 - state.beta2 ** t
+    c1 = 1.0 - BETA1 ** t
+    c2 = 1.0 - BETA2 ** t
     m, v = state.m, state.v
-    m *= state.beta1
-    m += (1.0 - state.beta1) * g
-    v *= state.beta2
-    v += (1.0 - state.beta2) * (g * g)
-    p -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+    m *= BETA1
+    m += (1.0 - BETA1) * g
+    v *= BETA2
+    v += (1.0 - BETA2) * (g * g)
+    p -= lr * (m / c1) / (np.sqrt(v / c2) + EPS)
     if not np.isfinite(p).all():
         raise NumericError("adam_step produced non-finite parameters")
 
@@ -54,24 +55,10 @@ def sgd_step(p: np.ndarray, g: np.ndarray, lr: float) -> None:
         raise NumericError("sgd_step produced non-finite parameters")
 
 
-@dataclass(frozen=True)
-class CosineSchedule:
-    """Single-cycle cosine annealing from base_lr at t=0 to min_lr at t=total_epochs."""
-
-    base_lr: float = 0.01
-    min_lr: float = 0.0
-    total_epochs: int = 1
-
-    def __post_init__(self):
-        if self.total_epochs < 1:
-            raise ValidationError(f"total_epochs must be >= 1, got {self.total_epochs}")
-        if self.base_lr < self.min_lr:
-            raise ValidationError(f"base_lr {self.base_lr} must be >= min_lr {self.min_lr}")
-
-
-def cosine_lr(t: int, sched: CosineSchedule) -> float:
-    """Learning rate at integer epoch index t in [0, total_epochs]."""
-    if t < 0 or t > sched.total_epochs:
-        raise ValidationError(f"epoch index {t} outside [0, {sched.total_epochs}]")
-    span = sched.base_lr - sched.min_lr
-    return sched.min_lr + span * (1.0 + math.cos(math.pi * t / sched.total_epochs)) / 2.0
+def cosine_lr(t: int, base_lr: float, total_epochs: int) -> float:
+    """Single-cycle cosine annealing from base_lr at epoch index t=0 to 0 at t=total_epochs."""
+    if total_epochs < 1:
+        raise ValidationError(f"total_epochs must be >= 1, got {total_epochs}")
+    if t < 0 or t > total_epochs:
+        raise ValidationError(f"epoch index {t} outside [0, {total_epochs}]")
+    return base_lr * (1.0 + math.cos(math.pi * t / total_epochs)) / 2.0

@@ -258,10 +258,8 @@ def conv1d(
     return result
 
 
-def elu(x: Tensor, alpha: float = 1.0, tape: Optional[Tape] = None) -> Tensor:
-    """Elementwise x if x > 0 else alpha * (exp(x) - 1), for 0 <= alpha <= 1."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValidationError(f"elu needs 0 <= alpha <= 1, got {alpha}")
+def elu(x: Tensor, tape: Optional[Tape] = None) -> Tensor:
+    """Elementwise x if x > 0 else exp(x) - 1."""
     xd = x.data
     # no mask, whose branches cost several times more on activations' random signs: the
     # negative branch of x clipped to <= 0 is 0 for x > 0 and >= x otherwise, so the maximum
@@ -269,8 +267,6 @@ def elu(x: Tensor, alpha: float = 1.0, tape: Optional[Tape] = None) -> Tensor:
     # return the same operand on ties); expm1 never sees x > 0, so it cannot overflow
     out = np.minimum(xd, 0.0)
     np.expm1(out, out=out)
-    if alpha != 1.0:
-        out *= alpha
     np.maximum(out, xd, out=out)
     _ensure_finite(out, "elu")
     result = Tensor(out, check_finite=False)
@@ -278,11 +274,8 @@ def elu(x: Tensor, alpha: float = 1.0, tape: Optional[Tape] = None) -> Tensor:
 
         def back(gout: np.ndarray):
             # derivative built here, not at forward time, so the tape holds one array less:
-            # 1 for x > 0, else out + alpha <= alpha. The minimum caps the x > 0 entries at 1;
-            # x + alpha >= 1 there only when alpha == 1, so otherwise (x > 0) lifts them first
-            gx = out + alpha
-            if alpha != 1.0:
-                np.maximum(gx, xd > 0.0, out=gx)
+            # out + 1 is at most 1 for x <= 0, and x + 1 > 1 otherwise, which the minimum caps at 1
+            gx = out + 1.0
             np.minimum(gx, 1.0, out=gx)
             gx *= gout
             return [(x, gx)]

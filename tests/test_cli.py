@@ -1,14 +1,20 @@
 """End-to-end command-line behavior: exit codes, files, determinism, report."""
 
+import configparser
+import dataclasses
 import json
 import re
+from pathlib import Path
 
 import pytest
 
 import ctss.evaluate
 from ctss.cli import main
+from ctss.config import ExperimentConfig, load_config
 from ctss.coteaching import read_selection_log
-from ctss.data import load_raw
+from ctss.data import GeneratorConfig, load_raw
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 TOY_CONFIG = """
 [generator]
@@ -83,8 +89,13 @@ class TestConfigValidation:
         (b"[coteach]\ntau = 0.1\n[coteach]\nb = 2\n", "section 'coteach'"),
         (b"[run]\nout_dir = runs/50%\n", "'%'"),
         (b"[run]\nout_dir = \xff\xfe\n", "utf-8"),
+        (b"[generator]\nnoise_mode = rest\n", "generator.noise_mode"),
+        (b"[coteach]\nm_max = 3\n", "coteach.m_max"),
+        (b"[coteach]\nmin_lr = 0.001\n", "coteach.min_lr"),
+        (b"[coteach]\noptimizer = sgd\n", "coteach.optimizer"),
+        (b"[coteach]\nseed = 5\n", "coteach.seed"),  # run_fold seeds every fold itself
     ], ids=["unknown-key", "no-section", "duplicate-option", "duplicate-section",
-            "bare-percent", "non-utf8"])
+            "bare-percent", "non-utf8", "noise_mode", "m_max", "min_lr", "optimizer", "coteach-seed"])
     def test_unknown_key_exits_2(self, tmp_path, capsys, content, named):
         path = tmp_path / "bad.ini"
         path.write_bytes(content)
@@ -96,6 +107,29 @@ class TestConfigValidation:
     def test_missing_config_file_exits_2(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.ini"),
                      "--out", str(tmp_path / "r")]) == 2
+
+    def test_readme_example_loads(self, tmp_path):
+        text = README.read_text(encoding="utf-8")
+        path = tmp_path / "readme.ini"
+        path.write_text(text[text.index("```ini\n") + len("```ini\n"):text.index("\n```", text.index("```ini"))])
+        cfg = load_config(path)
+        # it shows every key but cohort_file, each at its default but for the noisy subjects
+        assert cfg == dataclasses.replace(ExperimentConfig(), generator=GeneratorConfig(noisy_subject_ids=(3, 7)))
+        parser = configparser.ConfigParser()
+        parser.read(path, encoding="utf-8")
+        listed = {(section, key) for section in parser.sections() for key in parser.options(section)}
+        every = {(section, key) for section, keys in cfg.to_dict().items() for key in keys}
+        assert listed == every - {("run", "cohort_file")}
+
+
+def echo_as_ini(echo: dict) -> str:
+    """A config echo written back as an INI file."""
+    lines = []
+    for section, values in echo.items():
+        lines.append(f"[{section}]")
+        for key, value in values.items():
+            lines.append(f"{key} = {', '.join(map(str, value)) if isinstance(value, list) else value}")
+    return "\n".join(lines) + "\n"
 
 
 def spy_folds(monkeypatch) -> list[int]:
@@ -233,6 +267,18 @@ class TestRun:
             echo = json.loads((out / name).read_text())["config"]["run"]
             assert (echo["method"], echo["master_seed"]) == ("baseline", 4), name
             assert echo["parallel_folds"] == 1, name  # as configured: it changes no result
+
+    def test_config_echo_loads_back_as_the_config_that_ran(self, toy_config, tmp_path):
+        out = tmp_path / "r"
+        assert main(["run", "--config", str(toy_config), "--out", str(out), "--method", "baseline",
+                     "--seed", "4"]) == 0
+        echo = json.loads((out / "summary.json").read_text())["config"]
+        assert json.loads((out / "manifest.json").read_text())["config"] == echo
+        path = tmp_path / "echo.ini"
+        path.write_text(echo_as_ini(echo))
+        cfg = load_config(toy_config)
+        assert load_config(path) == dataclasses.replace(
+            cfg, run=dataclasses.replace(cfg.run, method="baseline", master_seed=4))
 
 
 class TestReport:

@@ -8,14 +8,17 @@ from ctss.data import (
     GeneratorConfig,
     SubjectDataset,
     augment_rest_class,
+    class_template,
     cohorts_equal,
     generate_cohort,
     load_raw,
     loso_split,
     save_raw,
+    subject_offset,
     train_val_split,
 )
 from ctss.errors import DataFormatError, ValidationError
+from ctss.seeding import derive_seed
 from ctss.tensor import Tensor
 
 
@@ -78,19 +81,30 @@ class TestGenerateCohort:
         noise_floor = sigma * np.sqrt(mean0.size / 30)
         assert distance > 5.0 * noise_floor
 
-    def test_label_shuffle_mode_keeps_trials_but_permutes_labels(self):
-        base = toy_config(noisy_subject_ids=(2,), trials_per_class=30)
-        shuffled_cfg = toy_config(noisy_subject_ids=(2,), trials_per_class=30,
-                                  noise_mode="label_shuffle")
+    def test_noisy_subject_keeps_labels_but_loses_class_templates(self):
         clean = generate_cohort(toy_config(trials_per_class=30))
-        shuffled = generate_cohort(shuffled_cfg)
-        rested = generate_cohort(base)
-        # label-shuffle noise retains the class templates in the signal
-        np.testing.assert_array_equal(shuffled[2].trials.data, clean[2].trials.data)
-        assert not np.array_equal(shuffled[2].labels, clean[2].labels)
-        assert sorted(shuffled[2].labels) == sorted(clean[2].labels)
-        # rest-mode noise changes the signal itself
-        assert not np.array_equal(rested[2].trials.data, clean[2].trials.data)
+        noisy = generate_cohort(toy_config(noisy_subject_ids=(2,), trials_per_class=30))
+        np.testing.assert_array_equal(noisy[2].labels, clean[2].labels)
+        # the same offset and noise, with no class template added
+        templates = np.stack([class_template(toy_config(), c) for c in range(2)])
+        np.testing.assert_allclose(clean[2].trials.data - noisy[2].trials.data, templates[clean[2].labels],
+                                   atol=1e-12)
+        # every other subject draws from its own streams, so it is unchanged
+        assert cohorts_equal(noisy[:2] + noisy[3:], clean[:2] + clean[3:])
+
+    def test_matches_one_noise_draw_per_trial(self):
+        # the per-trial loop the generator once ran, as the reference: one normal draw per trial
+        cfg = toy_config(n_imagery_classes=3, trials_per_class=5, noisy_subject_ids=(0, 2), seed=11)
+        for ds in generate_cohort(cfg):
+            offset = subject_offset(cfg, ds.subject_id)
+            rng = np.random.default_rng(np.random.PCG64(derive_seed(cfg.seed, "trials", ds.subject_id)))
+            want = []
+            for c in range(cfg.n_imagery_classes):
+                for _ in range(cfg.trials_per_class):
+                    noise = rng.normal(0.0, 1.0 / cfg.snr, size=offset.shape)
+                    want.append(offset + noise if ds.is_noisy else class_template(cfg, c) + offset + noise)
+            np.testing.assert_array_equal(ds.trials.data.view(np.uint64), np.stack(want).view(np.uint64))
+            np.testing.assert_array_equal(ds.labels, np.repeat(np.arange(3), 5))
 
     def test_degenerate_configs_rejected(self):
         with pytest.raises(ValidationError):
@@ -101,8 +115,6 @@ class TestGenerateCohort:
             toy_config(snr=0.0)
         with pytest.raises(ValidationError):
             toy_config(noisy_subject_ids=(9,))
-        with pytest.raises(ValidationError):
-            toy_config(noise_mode="swap")
 
 
 class TestAugmentRestClass:

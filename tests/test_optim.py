@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ctss.errors import DimensionError, ValidationError
-from ctss.optim import AdamState, CosineSchedule, adam_step, cosine_lr, sgd_step
+from ctss.optim import AdamState, adam_step, cosine_lr, sgd_step
 
 
 def fresh_state(n):
@@ -68,28 +68,26 @@ class TestAdam:
 
 class TestCosineSchedule:
     def test_endpoints_exact(self):
-        sched = CosineSchedule(base_lr=0.01, min_lr=0.0, total_epochs=30)
-        assert cosine_lr(0, sched) == pytest.approx(0.01, abs=1e-12)
-        assert cosine_lr(30, sched) == pytest.approx(0.0, abs=1e-12)
+        assert cosine_lr(0, 0.01, 30) == pytest.approx(0.01, abs=1e-12)
+        assert cosine_lr(30, 0.01, 30) == pytest.approx(0.0, abs=1e-12)
 
     def test_midpoint(self):
-        sched = CosineSchedule(base_lr=0.01, min_lr=0.002, total_epochs=10)
-        assert cosine_lr(5, sched) == pytest.approx(0.006, abs=1e-12)
+        assert cosine_lr(5, 0.01, 10) == pytest.approx(0.005, abs=1e-12)
 
     def test_monotone_nonincreasing(self):
-        sched = CosineSchedule(base_lr=0.01, min_lr=0.0, total_epochs=50)
-        values = [cosine_lr(t, sched) for t in range(51)]
+        values = [cosine_lr(t, 0.01, 50) for t in range(51)]
         assert all(a >= b for a, b in zip(values, values[1:]))
+        assert min(values) >= 0.0
 
     def test_out_of_range(self):
-        sched = CosineSchedule(total_epochs=5)
         with pytest.raises(ValidationError):
-            cosine_lr(-1, sched)
+            cosine_lr(-1, 0.01, 5)
         with pytest.raises(ValidationError):
-            cosine_lr(6, sched)
+            cosine_lr(6, 0.01, 5)
+        with pytest.raises(ValidationError):
+            cosine_lr(0, 0.01, 0)
 
     def test_closed_form(self):
-        sched = CosineSchedule(base_lr=0.04, min_lr=0.01, total_epochs=17)
         for t in range(18):
-            expected = 0.01 + 0.03 * (1 + math.cos(math.pi * t / 17)) / 2
-            assert cosine_lr(t, sched) == pytest.approx(expected, abs=1e-15)
+            expected = 0.04 * (1 + math.cos(math.pi * t / 17)) / 2
+            assert cosine_lr(t, 0.04, 17) == pytest.approx(expected, abs=1e-15)

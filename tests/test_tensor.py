@@ -205,10 +205,6 @@ class TestElu:
         out = elu(x)
         np.testing.assert_allclose(out.data, [0.0, 2.5, math.expm1(-1.0)], atol=1e-12)
 
-    def test_alpha_scales_negative_branch(self):
-        out = elu(Tensor(np.array([-2.0])), alpha=0.5)
-        np.testing.assert_allclose(out.data, [0.5 * math.expm1(-2.0)])
-
     def test_gradients(self):
         rng = np.random.default_rng(13)
         x = random_tensor(rng, (5, 7))
@@ -221,27 +217,24 @@ class TestElu:
         tape.backward(np.ones_like(out.data), output=out)
         assert probe_gradients(value, [x], [tape.grad(x)], rng, n_probes=25) < 1e-4
 
-    @pytest.mark.parametrize("alpha", [1.0, 0.5, 0.0])
-    def test_forward_bitwise_matches_masked_expm1(self, alpha):
+    def test_forward_bitwise_matches_masked_expm1(self):
         """The masked expm1 the forward used to run, bit for bit, sign bits included."""
         special = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 709.8, 710.0, 1e300, -1e300, -800.0]
         xd = np.concatenate([np.random.default_rng(17).standard_normal(100_000), special])
         neg = xd <= 0.0
         ref = xd.copy()
         np.expm1(xd, out=ref, where=neg)
-        ref[neg] *= alpha
         with warnings.catch_warnings():
             # an overflow warning from expm1(710), or an invalid one from inf * 0, would raise here
             warnings.simplefilter("error")
             tape = Tape()
             x = Tensor(xd)
-            out = elu(x, alpha=alpha, tape=tape)  # elu(1e300) is finite, so no NumericError either
+            out = elu(x, tape=tape)  # elu(1e300) is finite, so no NumericError either
             tape.backward(np.ones_like(xd), output=out)
         np.testing.assert_array_equal(out.data.view(np.uint64), ref.view(np.uint64))
-        np.testing.assert_array_equal(tape.grad(x), np.where(xd > 0.0, 1.0, ref + alpha))
+        np.testing.assert_array_equal(tape.grad(x), np.where(xd > 0.0, 1.0, ref + 1.0))
 
-    @pytest.mark.parametrize("alpha", [1.0, 0.5, 0.0])
-    def test_bitwise_matches_masked_form_at_every_magnitude(self, alpha):
+    def test_bitwise_matches_masked_form_at_every_magnitude(self):
         """Output and gradient equal the masked form's bit for bit, sign bits included,
         over magnitudes from subnormal to expm1's overflow and both signs."""
         rng = np.random.default_rng(19)
@@ -250,19 +243,14 @@ class TestElu:
         gout = rng.standard_normal(xd.size)
         gout[::7] = -0.0
         with np.errstate(over="ignore", invalid="ignore"):  # expm1(800) is inf, and inf * 0 NaN
-            want = np.where(xd > 0.0, xd, alpha * np.expm1(xd))
+            want = np.where(xd > 0.0, xd, np.expm1(xd))
         tape = Tape()
         x = Tensor(xd)
-        out = elu(x, alpha=alpha, tape=tape)
+        out = elu(x, tape=tape)
         tape.backward(gout, output=out)
         np.testing.assert_array_equal(out.data.view(np.uint64), want.view(np.uint64))
-        want_grad = gout * np.where(xd > 0.0, 1.0, want + alpha)
+        want_grad = gout * np.where(xd > 0.0, 1.0, want + 1.0)
         np.testing.assert_array_equal(tape.grad(x).view(np.uint64), want_grad.view(np.uint64))
-
-    @pytest.mark.parametrize("alpha", [-0.5, 1.5, float("nan")])
-    def test_alpha_outside_unit_interval_is_rejected(self, alpha):
-        with pytest.raises(ValidationError, match="alpha"):
-            elu(Tensor(np.ones(3)), alpha=alpha)
 
 
 class TestMaxPool1d:
