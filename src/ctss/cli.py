@@ -154,6 +154,32 @@ def format_report(summary: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_summary(summary, path) -> None:
+    """Refuse, naming the first offending field, a summary whose layout :func:`format_report` cannot read."""
+    def fail(what: str):
+        raise DataFormatError(f"{path} is not a run summary: {what}")
+
+    if not isinstance(summary, dict):
+        fail(f"expected a JSON object, got a JSON {type(summary).__name__}")
+    if not isinstance(summary.get("method"), str):
+        fail("'method' must be a string")
+    for key in ("mean_balanced_accuracy", "std_balanced_accuracy"):
+        if not _is_number(summary.get(key)):
+            fail(f"{key!r} must be a number")
+    folds = summary.get("folds")
+    if not isinstance(folds, list) or not all(
+            isinstance(f, dict) and isinstance(f.get("target_subject"), int) and _is_number(f.get("balanced_accuracy"))
+            for f in folds):
+        fail("'folds' must be a list of objects with an integer 'target_subject' and a numeric 'balanced_accuracy'")
+    freqs = summary.get("selection_frequencies") or {}
+    if not isinstance(freqs, dict) or not all(re.fullmatch(r"-?\d+", k) and _is_number(v) for k, v in freqs.items()):
+        fail("'selection_frequencies' must map subject ids to numbers")
+
+
 def cmd_report(args) -> int:
     run_dir = Path(args.run_dir)
     summary_path = run_dir / "summary.json"
@@ -161,9 +187,11 @@ def cmd_report(args) -> int:
         raise DataFormatError(f"no summary.json in {run_dir}; is this a finished run directory?")
     try:
         with open(summary_path, "r", encoding="utf-8") as fh:
-            text = format_report(json.load(fh))
-    except (ValueError, KeyError, TypeError) as exc:  # bad UTF-8 or JSON, or a wrong layout
+            summary = json.load(fh)
+    except ValueError as exc:  # bad UTF-8 or JSON
         raise DataFormatError(f"{summary_path} is not a run summary: {type(exc).__name__}: {exc}") from None
+    _check_summary(summary, summary_path)
+    text = format_report(summary)
     sys.stdout.write(text)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:

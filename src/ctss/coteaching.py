@@ -250,10 +250,10 @@ class _TapedForward(NamedTuple):
     grad: np.ndarray  # per-sample logit gradients [n, C]
 
 
-def _taped_forward(model: Model, trials: Tensor, labels) -> _TapedForward:
+def _taped_forward(model: Model, trials: Tensor, labels, stem_windows: np.ndarray | None = None) -> _TapedForward:
     """Forward on a fresh tape, kept for a later :func:`_masked_update`."""
     tape = Tape()
-    logits = model.forward(trials, tape)
+    logits = model.forward(trials, tape, stem_windows)
     losses, grad = softmax_cross_entropy(logits, labels)
     return _TapedForward(tape, logits, losses.data, grad.data)
 
@@ -295,7 +295,9 @@ def cross_update_step(state: CoteachState, batch: SubjectBatch, lr: float, r: fl
     """Select per network from pre-update losses, then update each on its peer's pick.
 
     One taped forward per network over the whole batch serves both its
-    ranking and its update. Every ranking is computed before any parameter
+    ranking and its update. The networks share one build of the stem conv's
+    windows over the batch, read-only, which both tapes keep for the stem's
+    kernel gradient. Every ranking is computed before any parameter
     set moves, so network g's update set cannot leak the f update made in
     the same iteration. Returns one record per network, in update order.
 
@@ -303,7 +305,8 @@ def cross_update_step(state: CoteachState, batch: SubjectBatch, lr: float, r: fl
     alongside f's; ranking and records stay on the calling thread.
     """
     nets = state.networks
-    forwards = _per_network(helper, [partial(_taped_forward, model, batch.trials, batch.labels)
+    stem_windows = state.model_f.stem.windows(batch.trials)  # the networks share one architecture
+    forwards = _per_network(helper, [partial(_taped_forward, model, batch.trials, batch.labels, stem_windows)
                                      for _, model, _ in nets])
     sums = [batch.subject_sums(fw.losses) for fw in forwards]
     picks = [select_small_loss_subjects(s, r) for s in sums]

@@ -251,9 +251,8 @@ def load_raw(path) -> list[SubjectDataset]:
         block_len = (header_end - offset) + 2 * n + 8 * n * e * t
         if offset + block_len + 4 > len(view):
             raise DataFormatError(f"{path}: file truncated in subject {sid} payload")
-        block = bytes(view[offset:offset + block_len])
         (crc_stored,) = struct.unpack_from("<I", view, offset + block_len)
-        if zlib.crc32(block) & 0xFFFFFFFF != crc_stored:
+        if zlib.crc32(view[offset:offset + block_len]) & 0xFFFFFFFF != crc_stored:
             raise DataFormatError(f"{path}: checksum mismatch in subject {sid} block")
         cursor = header_end
         labels = np.frombuffer(view, dtype="<u2", count=n, offset=cursor).astype(np.int64)

@@ -88,9 +88,10 @@ def run_fold(cohort, target_subject_id: int, method: str, model_config: ModelCon
     """Train on everyone but the target, then score on the augmented target."""
     fold_seed = derive_seed(master_seed, "fold", target_subject_id)
     source, test = loso_split(cohort, target_subject_id)
-    source = [augment_rest_class(ds, generator_config) for ds in source]
     test = augment_rest_class(test, generator_config)
-    train, val = train_val_split(source, val_ratio, derive_seed(fold_seed, "split"))
+    # the augmented source lives only until the split has copied its trials into train and val
+    train, val = train_val_split([augment_rest_class(ds, generator_config) for ds in source], val_ratio,
+                                 derive_seed(fold_seed, "split"))
 
     result = train_coteaching(train, val, model_config, replace(train_config, seed=fold_seed),
                               method=method)

@@ -60,8 +60,12 @@ class Conv1d:
         self.stride = stride
         self.padding = padding
 
-    def forward(self, x: Tensor, tape: Tape | None) -> Tensor:
-        return T.conv1d(x, self.weight, self.bias, self.stride, self.padding, tape=tape)
+    def forward(self, x: Tensor, tape: Tape | None, windows: np.ndarray | None = None) -> Tensor:
+        return T.conv1d(x, self.weight, self.bias, self.stride, self.padding, tape=tape, windows=windows)
+
+    def windows(self, x: Tensor) -> np.ndarray:
+        """This layer's conv1d windows of ``x``, for :meth:`forward` of any layer of the same geometry."""
+        return T.conv_windows(x, self.weight.shape[2], self.stride, self.padding)
 
     def parameters(self) -> list[Tensor]:
         return [self.weight, self.bias]
@@ -133,9 +137,13 @@ class Model:
         self.__dict__.update(state)
         self._view_flat()
 
-    def forward(self, x: Tensor, tape: Tape | None = None) -> Tensor:
-        """Logits [B, n_classes] for a batch of trials [B, E, T]."""
-        h = T.elu(self.stem.forward(x, tape), tape=tape)
+    def forward(self, x: Tensor, tape: Tape | None = None, stem_windows: np.ndarray | None = None) -> Tensor:
+        """Logits [B, n_classes] for a batch of trials [B, E, T].
+
+        ``stem_windows`` is ``stem.windows(x)``, when the caller built it once
+        for several networks of this architecture.
+        """
+        h = T.elu(self.stem.forward(x, tape, stem_windows), tape=tape)
         for first, second, pool in self.stages:
             h = second.forward(first.forward(h, tape), tape)
             if pool:
@@ -197,6 +205,21 @@ def build_mini_resnet1d(config: ModelConfig) -> Model:
     return Model(stem, stages, head, {"builder": "mini_resnet1d", "kwargs": asdict(config)})
 
 
+def parameter_count(config: ModelConfig) -> int:
+    """How many parameters :func:`build_mini_resnet1d` gives ``config``, worked out without building it."""
+    def conv(c_in: int, c_out: int, k: int) -> int:
+        return c_out * (c_in * k + 1)
+
+    count = conv(config.n_electrodes, config.width_base, 7)
+    channels = config.width_base
+    for stage in range(config.n_blocks):
+        width = config.width_base * (2 ** stage)
+        # first block: two k=3 convs and the 1x1 shortcut; second block: two k=3 convs
+        count += conv(channels, width, 3) + conv(channels, width, 1) + 3 * conv(width, width, 3)
+        channels = width
+    return count + config.n_classes * (channels + 1)
+
+
 def per_sample_losses(model: Model, batch: Tensor, labels) -> np.ndarray:
     """Unreduced cross-entropy per sample, computed without gradient tracking."""
     if batch.shape[0] == 0:
@@ -236,7 +259,13 @@ def load_checkpoint(path) -> Model:
         offset += arch_len
         if not isinstance(arch, dict) or arch.get("builder") != "mini_resnet1d":
             raise DataFormatError(f"{path}: not a mini_resnet1d checkpoint")
-        model = build_mini_resnet1d(ModelConfig(**arch["kwargs"]))
+        config = ModelConfig(**arch["kwargs"])
+        # checked before building, so a short file cannot make the loader allocate a model of any size
+        n_values = parameter_count(config)
+        if 8 * n_values > len(view) - offset:
+            raise DataFormatError(f"{path}: {len(view) - offset} bytes cannot hold the {n_values} "
+                                  "parameters its architecture declares")
+        model = build_mini_resnet1d(config)
         (n_params,) = struct.unpack_from("<I", view, offset)
         offset += 4
         params = model.parameters()

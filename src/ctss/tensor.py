@@ -3,8 +3,10 @@
 Every primitive takes and returns :class:`Tensor` objects. Passing a
 :class:`Tape` records a backward closure; backward replays the closures in
 exact reverse order of the forward calls and accumulates gradients keyed by
-tensor identity. All arithmetic is float64 on CPU, so identical inputs
-produce bitwise-identical outputs.
+each tensor's data-free :attr:`Tensor.key`. A closure keeps only the arrays
+its backward reads, so a recorded forward holds no array that nothing will
+read again. All arithmetic is float64 on CPU, so identical inputs produce
+bitwise-identical outputs.
 
 Sequence inputs are channel-major batches ``[B, C, L]``; the sequence
 primitives take no other rank, so a single trial is a batch of one.
@@ -23,13 +25,19 @@ from .errors import DimensionError, NumericError, StateError, ValidationError
 
 
 class Tensor:
-    """A dense n-dimensional float64 array (row-major)."""
+    """A dense n-dimensional float64 array (row-major).
+
+    ``key`` is the tensor's handle on a tape: an object of its own that holds
+    no data, so a tape can name a tensor's gradient without keeping its array
+    alive. A copy or an unpickled tensor gets a new key.
+    """
 
     def __init__(self, data, check_finite: bool = True):
         arr = np.ascontiguousarray(data, dtype=np.float64)
         if check_finite:
             _ensure_finite(arr, "tensor construction")
         self.data = arr
+        self.key = object()
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -56,10 +64,12 @@ class Tape:
     """Ordered record of primitive applications for one forward pass.
 
     Gradients are accumulated in buffers owned by the tape, keyed by the
-    tensors that took part in the recorded forward pass (by identity; the
-    key holds a strong reference, so a freed tensor's id can never alias a
-    new one). A tape is single-use: after :meth:`backward` it refuses
-    further recording.
+    :attr:`Tensor.key` of the tensors that took part in the recorded forward
+    pass. Entries and closures hold keys, never tensors, so a tensor that only
+    names a gradient (a conv output before its ELU, a block output) is freed
+    as soon as the forward is done with it; a key is never reused, so it
+    cannot alias a newer tensor. A tape is single-use: after :meth:`backward`
+    it refuses further recording.
 
     :meth:`backward` frees memory as it goes: each entry is dropped once it
     has been replayed, releasing its closure and the arrays it captured,
@@ -70,8 +80,9 @@ class Tape:
     ``backward(..., wrt=tensors)`` limits the work to the gradients the
     caller reads, like the ``inputs=`` argument of torch's backward: a leaf
     tensor outside ``wrt`` gets no gradient. A closure may ask
-    :meth:`wants` and skip the arithmetic for an input nobody reads; conv1d
-    does, so a model's first conv builds no gradient for the data batch.
+    :meth:`wants` with an input's key and skip the arithmetic for an input
+    nobody reads; conv1d does, so a model's first conv builds no gradient for
+    the data batch.
 
     Gradients are read-only. They are stored without copying and summed out
     of place, so one array may serve as the gradient of several tensors
@@ -80,31 +91,33 @@ class Tape:
     """
 
     def __init__(self):
-        self._entries: list[tuple[Tensor, Callable[[np.ndarray], Iterable[tuple[Tensor, np.ndarray]]]]] = []
-        self._grads: dict[Tensor, np.ndarray] = {}
+        # (output key, output shape, closure); a closure maps the output's gradient to (key, gradient) pairs
+        self._entries: list[tuple[object, tuple[int, ...],
+                                  Callable[[np.ndarray], Iterable[tuple[object, np.ndarray]]]]] = []
+        self._grads: dict[object, np.ndarray] = {}
         self._finished = False
-        self._wrt: Optional[frozenset[Tensor]] = None
-        self._pending: set[Tensor] = set()
+        self._wrt: Optional[frozenset[object]] = None
+        self._pending: set[object] = set()
 
     def record(self, out: Tensor, backward_fn) -> None:
         if self._finished:
             raise StateError("tape already consumed by backward; use a fresh tape")
-        self._entries.append((out, backward_fn))
+        self._entries.append((out.key, out.shape, backward_fn))
 
-    def wants(self, t: Tensor) -> bool:
-        """Whether the running backward needs a gradient for ``t``.
+    def wants(self, key) -> bool:
+        """Whether the running backward needs a gradient for the tensor whose key is ``key``.
 
         Always true without ``wrt``; with it, true for the tensors in ``wrt``
         and for the outputs of entries not yet replayed.
         """
-        return self._wrt is None or t in self._wrt or t in self._pending
+        return self._wrt is None or key in self._wrt or key in self._pending
 
-    def _accumulate(self, t: Tensor, g: np.ndarray) -> None:
-        if not self.wants(t):
+    def _accumulate(self, key, g: np.ndarray) -> None:
+        if not self.wants(key):
             return
-        buf = self._grads.get(t)
+        buf = self._grads.get(key)
         # never in place: ``g`` may also be another tensor's gradient
-        self._grads[t] = g if buf is None else buf + g
+        self._grads[key] = g if buf is None else buf + g
 
     def backward(self, output_grad, output: Optional[Tensor] = None,
                  wrt: Optional[Iterable[Tensor]] = None) -> None:
@@ -117,29 +130,29 @@ class Tape:
             raise StateError("backward already ran on this tape")
         if not self._entries:
             raise StateError("backward called on a tape with no recorded forward pass")
-        out = self._entries[-1][0] if output is None else output
+        out_key, out_shape = self._entries[-1][:2] if output is None else (output.key, output.shape)
         seed = np.asarray(output_grad.data if isinstance(output_grad, Tensor) else output_grad, dtype=np.float64)
-        if seed.shape != out.data.shape:
+        if seed.shape != out_shape:
             raise DimensionError(
-                f"output grad shape {seed.shape} does not match output shape {out.data.shape}"
+                f"output grad shape {seed.shape} does not match output shape {out_shape}"
             )
         self._finished = True
         if wrt is not None:
-            self._wrt = frozenset(wrt)
-            self._pending = {node for node, _ in self._entries}
-        self._accumulate(out, seed)
+            self._wrt = frozenset(t.key for t in wrt)
+            self._pending = {key for key, _, _ in self._entries}
+        self._accumulate(out_key, seed)
         while self._entries:
-            node, fn = self._entries.pop()
-            self._pending.discard(node)
-            g = self._grads.pop(node, None)
+            key, _, fn = self._entries.pop()
+            self._pending.discard(key)
+            g = self._grads.pop(key, None)
             if g is None:
                 continue  # branch not on the path to the seeded output
-            for t, gt in fn(g):
-                self._accumulate(t, gt)
+            for k, gk in fn(g):
+                self._accumulate(k, gk)
 
     def grad(self, t: Tensor) -> Optional[np.ndarray]:
         """Accumulated gradient for ``t``, or None if it never received one."""
-        return self._grads.get(t)
+        return self._grads.get(t.key)
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +193,28 @@ def _tap_windows(k: int, stride: int, padding: int, length: int, n_out: int) -> 
     return tuple(taps)
 
 
+def conv_windows(x: Tensor, k: int, stride: int, padding: int) -> np.ndarray:
+    """conv1d's read-only window columns of ``x`` [B, C, L] for a k-tap kernel: [C*K, B*L_out].
+
+    ``cols[c*K + j, b*L_out + l] = x[b, c, l * stride + j - padding]``, 0 in the
+    padding. Every conv1d of this geometry over ``x`` can read the same array.
+    """
+    b, c, length = x.shape
+    n_out = conv_output_length(length, k, stride, padding)
+    # one copy per tap j, running along L, with no padded copy of x
+    cols = np.empty((c, k, b, n_out), dtype=np.float64)
+    xt = x.data.transpose(1, 0, 2)
+    for j, (lo, hi, start) in enumerate(_tap_windows(k, stride, padding, length, n_out)):
+        if lo:
+            cols[:, j, :, :lo] = 0.0
+        if hi < n_out:
+            cols[:, j, :, hi:] = 0.0
+        cols[:, j, :, lo:hi] = xt[:, :, start:start + stride * (hi - lo):stride]
+    cols = cols.reshape(c * k, b * n_out)
+    cols.flags.writeable = False
+    return cols
+
+
 # ---------------------------------------------------------------------------
 # primitives
 
@@ -191,11 +226,14 @@ def conv1d(
     stride: int = 1,
     padding: int = 0,
     tape: Optional[Tape] = None,
+    windows: Optional[np.ndarray] = None,
 ) -> Tensor:
     """Strided cross-correlation along the last axis.
 
     ``x`` is [B, C_in, L]; ``kernels`` is [C_out, C_in, K]; ``bias`` is
-    [C_out]. Output length is floor((L + 2p - K)/s) + 1.
+    [C_out]. Output length is floor((L + 2p - K)/s) + 1. ``windows`` is
+    :func:`conv_windows` of ``x`` for this geometry, when the caller already
+    built it for another conv over the same input.
     """
     if x.ndim != 3:
         raise DimensionError(f"conv1d expects a [B, C, L] input, got shape {tuple(x.shape)}")
@@ -216,20 +254,11 @@ def conv1d(
     if n_out < 1:
         raise DimensionError(f"conv1d output length {n_out} < 1 for L={length}, K={k}, s={stride}, p={padding}")
 
-    # windows as columns, cols[c, j, b, l] = x[b, c, l * stride + j - padding] (0 in the padding):
-    # one copy per tap j, running along L, with no padded copy of x. The matmul reads them
-    # transposed, as [B*L_out, C_in*K] rows, because kflat @ cols sums in another order for some
-    # small shapes
-    taps = _tap_windows(k, stride, padding, length, n_out)
-    cols = np.empty((c, k, b, n_out), dtype=np.float64)
-    xt = x.data.transpose(1, 0, 2)
-    for j, (lo, hi, start) in enumerate(taps):
-        if lo:
-            cols[:, j, :, :lo] = 0.0
-        if hi < n_out:
-            cols[:, j, :, hi:] = 0.0
-        cols[:, j, :, lo:hi] = xt[:, :, start:start + stride * (hi - lo):stride]
-    cols = cols.reshape(c * k, b * n_out)
+    cols = conv_windows(x, k, stride, padding) if windows is None else windows
+    if cols.shape != (c * k, b * n_out):
+        raise DimensionError(f"conv1d windows must have shape {(c * k, b * n_out)}, got {cols.shape}")
+    # the matmul reads the windows transposed, as [B*L_out, C_in*K] rows, because kflat @ cols
+    # sums in another order for some small shapes
     kflat = kernels.data.reshape(c_out, c * k)
     # transpose the [B*L_out, C_out] product and add the bias in one pass
     out = np.empty((b, c_out, n_out), dtype=np.float64)
@@ -238,21 +267,23 @@ def conv1d(
     result = Tensor(out, check_finite=False)
 
     if tape is not None:
+        xk, kk, bk = x.key, kernels.key, bias.key
 
         def back(gout: np.ndarray):
             gbias = gout.sum(axis=(0, 2))
             # gflat stays the reduction operand: the product in the other orientation sums in another order
             gflat = np.ascontiguousarray(gout.transpose(0, 2, 1)).reshape(b * n_out, c_out)
             gker = (gflat.T @ cols.T).reshape(c_out, c, k)
-            if not tape.wants(x):
-                return [(kernels, gker), (bias, gbias)]
+            if not tape.wants(xk):
+                return [(kk, gker), (bk, gbias)]
             # spread[b, c, j, l] is tap j's share of input position l * stride + j - padding
             spread = np.matmul(kflat.T, gout).reshape(b, c, k, n_out)
             gx = np.zeros((b, c, length), dtype=np.float64)
-            for j, (lo, hi, start) in enumerate(taps):  # in order, so overlapping windows always sum alike
+            # in tap order, so overlapping windows always sum alike
+            for j, (lo, hi, start) in enumerate(_tap_windows(k, stride, padding, length, n_out)):
                 if lo < hi:
                     gx[:, :, start:start + stride * (hi - lo):stride] += spread[:, :, j, lo:hi]
-            return [(x, gx), (kernels, gker), (bias, gbias)]
+            return [(xk, gx), (kk, gker), (bk, gbias)]
 
         tape.record(result, back)
     return result
@@ -271,6 +302,7 @@ def elu(x: Tensor, tape: Optional[Tape] = None) -> Tensor:
     _ensure_finite(out, "elu")
     result = Tensor(out, check_finite=False)
     if tape is not None:
+        xk = x.key
 
         def back(gout: np.ndarray):
             # derivative built here, not at forward time, so the tape holds one array less:
@@ -278,7 +310,7 @@ def elu(x: Tensor, tape: Optional[Tape] = None) -> Tensor:
             gx = out + 1.0
             np.minimum(gx, 1.0, out=gx)
             gx *= gout
-            return [(x, gx)]
+            return [(xk, gx)]
 
         tape.record(result, back)
     return result
@@ -301,6 +333,7 @@ def maxpool1d(x: Tensor, k: int, stride: int, tape: Optional[Tape] = None) -> Te
     if tape is not None:
         argmax = windows.argmax(axis=3)  # first maximal index on ties
         n_out = out.shape[2]
+        xk = x.key
 
         def back(gout: np.ndarray):
             gx = np.zeros((b, c, length), dtype=np.float64)
@@ -308,7 +341,7 @@ def maxpool1d(x: Tensor, k: int, stride: int, tape: Optional[Tape] = None) -> Te
             ci = np.arange(c)[None, :, None]
             pos = np.arange(n_out)[None, None, :] * stride + argmax
             np.add.at(gx, (bi, ci, pos), gout)
-            return [(x, gx)]
+            return [(xk, gx)]
 
         tape.record(result, back)
     return result
@@ -331,12 +364,13 @@ def adaptive_avg_pool1d(x: Tensor, out_len: int, tape: Optional[Tape] = None) ->
     result = Tensor(out, check_finite=False)
 
     if tape is not None:
+        xk = x.key
 
         def back(gout: np.ndarray):
             gx = np.zeros((b, c, length), dtype=np.float64)
             for i, (lo, hi) in enumerate(bounds):
                 gx[:, :, lo:hi] += gout[:, :, i:i + 1] / (hi - lo)
-            return [(x, gx)]
+            return [(xk, gx)]
 
         tape.record(result, back)
     return result
@@ -359,9 +393,10 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor, tape: Optional[Tape] = None)
 
     if tape is not None:
         xd, wd = x.data, weight.data
+        xk, wk, bk = x.key, weight.key, bias.key
 
         def back(gout: np.ndarray):
-            return [(x, gout @ wd), (weight, gout.T @ xd), (bias, gout.sum(axis=0))]
+            return [(xk, gout @ wd), (wk, gout.T @ xd), (bk, gout.sum(axis=0))]
 
         tape.record(result, back)
     return result
@@ -375,9 +410,10 @@ def add(a: Tensor, b: Tensor, tape: Optional[Tape] = None) -> Tensor:
     _ensure_finite(out, "add")
     result = Tensor(out, check_finite=False)
     if tape is not None:
+        ak, bk = a.key, b.key
 
         def back(gout: np.ndarray):
-            return [(a, gout), (b, gout)]
+            return [(ak, gout), (bk, gout)]
 
         tape.record(result, back)
     return result
@@ -391,10 +427,10 @@ def reshape(x: Tensor, shape: tuple[int, ...], tape: Optional[Tape] = None) -> T
         raise DimensionError(f"cannot reshape {tuple(x.shape)} to {new_shape}: {exc}") from None
     result = Tensor(out, check_finite=False)
     if tape is not None:
-        old_shape = x.data.shape
+        old_shape, xk = x.data.shape, x.key
 
         def back(gout: np.ndarray):
-            return [(x, gout.reshape(old_shape))]
+            return [(xk, gout.reshape(old_shape))]
 
         tape.record(result, back)
     return result

@@ -313,7 +313,11 @@ class TestReport:
         b"{}",
         json.dumps({"method": "coteach", "folds": [{"balanced_accuracy": 0.5}],
                     "mean_balanced_accuracy": 0.5, "std_balanced_accuracy": 0.0}).encode(),
-    ], ids=["no-summary", "invalid-json", "non-utf8", "list", "no-folds", "fold-without-target"])
+        json.dumps({"method": "coteach", "folds": [{"target_subject": 0, "balanced_accuracy": 0.5}],
+                    "mean_balanced_accuracy": 0.5, "std_balanced_accuracy": 0.0,
+                    "selection_frequencies": [1, 2, 30]}).encode(),
+    ], ids=["no-summary", "invalid-json", "non-utf8", "list", "no-folds", "fold-without-target",
+            "frequencies-list"])
     def test_empty_run_dir_exits_4(self, tmp_path, capsys, summary):
         if summary is not None:
             (tmp_path / "summary.json").write_bytes(summary)

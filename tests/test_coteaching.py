@@ -4,12 +4,14 @@ import contextlib
 import itertools
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import ctss.coteaching
 from ctss.blas import single_blas_thread
+from ctss.config import ExperimentConfig
 from ctss.coteaching import (
     CoteachConfig,
     CoteachState,
@@ -27,7 +29,7 @@ from ctss.data import GeneratorConfig, augment_rest_class, generate_cohort, trai
 from ctss.errors import NumericError, ValidationError
 from ctss.models import Model, ModelConfig, build_mini_resnet1d, save_checkpoint
 from ctss.optim import AdamState, adam_step
-from ctss.tensor import Tape, softmax_cross_entropy
+from ctss.tensor import Tape, Tensor, conv_output_length, softmax_cross_entropy
 
 
 def toy_cohort(n_subjects=3, trials_per_class=6, seed=0, noisy=()):
@@ -306,9 +308,9 @@ class TestCrossUpdateStep:
         calls = []
         original = Model.forward
 
-        def counting_forward(self, x, tape=None):
+        def counting_forward(self, x, tape=None, *rest):
             calls.append((tape is not None, x.shape[0]))
-            return original(self, x, tape)
+            return original(self, x, tape, *rest)
 
         monkeypatch.setattr(Model, "forward", counting_forward)
         cross_update_step(state, batch, 0.01, 0.5)
@@ -359,6 +361,80 @@ class TestCrossUpdateStep:
             np.testing.assert_array_equal(p.data, q.data)
         for p, q in zip(state_a.model_g.parameters(), state_b.model_f.parameters()):
             np.testing.assert_array_equal(p.data, q.data)
+
+
+def full_size_batch() -> tuple[ModelConfig, Tensor, np.ndarray]:
+    """The CLI defaults' model config and a random batch of its size: B = b x 9 source subjects."""
+    cfg = ExperimentConfig()
+    rng = np.random.default_rng(0)
+    n = cfg.coteach.b * (cfg.generator.n_subjects - 1)
+    trials = Tensor(rng.normal(size=(n, cfg.generator.n_electrodes, cfg.generator.n_timesteps)))
+    return cfg.model_config(), trials, rng.integers(0, cfg.generator.n_imagery_classes + 1, size=n)
+
+
+def backward_read_bytes(model: Model, b: int, e: int, t: int) -> int:
+    """Bytes of what a taped forward's backward reads: every conv's windows, every ELU output, the head's arrays."""
+    def conv(layer, c: int, length: int) -> tuple[int, int, int]:  # window values, output channels, length
+        c_out, _, k = layer.weight.shape
+        n_out = conv_output_length(length, k, layer.stride, layer.padding)
+        return c * k * b * n_out, c_out, n_out
+
+    windows, c, length = conv(model.stem, e, t)
+    values = windows + b * c * length  # the stem's windows and ELU output
+    for first, second, pool in model.stages:
+        assert not pool  # no argmax to count
+        for block in (first, second):
+            w1, c1, l1 = conv(block.conv1, c, length)
+            values += w1 + b * c1 * l1 + conv(block.conv2, c1, l1)[0]
+            if block.shortcut is not None:
+                values += conv(block.shortcut, c, length)[0]
+            c, length = c1, l1
+    n_classes = model.head.weight.shape[0]
+    # the head's ELU output, the linear input, logits, losses and logit gradients
+    values += b * c * length + b * c + b * n_classes + b + b * n_classes
+    return 8 * values
+
+
+def closure_arrays(fn) -> dict[int, np.ndarray]:
+    return {id(cell.cell_contents): cell.cell_contents for cell in fn.__closure__ or ()
+            if isinstance(cell.cell_contents, np.ndarray)}
+
+
+class TestStepMemory:
+    def test_taped_forward_keeps_only_what_backward_reads(self):
+        model_config, trials, labels = full_size_batch()
+        model = build_mini_resnet1d(model_config)
+        model.forward(trials)  # caches filled outside the measurement
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            forward = ctss.coteaching._taped_forward(model, trials, labels)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        expected = backward_read_bytes(model, *trials.shape)
+        # the slack covers the tape's Python objects; one more activation would be 0.87 MB
+        assert expected <= held <= expected + 2 ** 16, (held, expected)
+        assert forward.losses.shape == labels.shape
+
+    def test_networks_share_one_stem_window_array(self, monkeypatch):
+        cohort, _ = toy_cohort(n_subjects=4)
+        state = make_state(toy_model_config(), CoteachConfig(seed=17))
+        batch = SubjectBatcher(cohort, 3, np.random.default_rng(2)).next_batch()
+        stems = []
+        original = ctss.coteaching._masked_update
+
+        def spy(model, opt_state, forward, *rest):
+            stems.append(closure_arrays(forward.tape._entries[0][-1]))  # the stem conv's closure
+            return original(model, opt_state, forward, *rest)
+
+        monkeypatch.setattr(ctss.coteaching, "_masked_update", spy)
+        cross_update_step(state, batch, 0.01, 0.5)
+        f_arrays, g_arrays = stems
+        shared = [a for key, a in f_arrays.items() if key in g_arrays]
+        _, e, t = batch.trials.shape
+        assert [a.shape for a in shared] == [(e * 7, batch.total_samples * conv_output_length(t, 7, 2, 3))]
+        assert not shared[0].flags.writeable
 
 
 class TestTrainCoteaching:

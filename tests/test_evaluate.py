@@ -110,10 +110,10 @@ class TestTrainBaseline:
         taped, seen = [], []
         original = Model.forward
 
-        def counting_forward(self, x, tape=None):
+        def counting_forward(self, x, tape=None, *rest):
             if tape is not None:
                 taped.append(x.shape[0])
-            return original(self, x, tape)
+            return original(self, x, tape, *rest)
 
         monkeypatch.setattr(Model, "forward", counting_forward)
         result = train_baseline(train, val, toy_model_config(), cc,

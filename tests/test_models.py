@@ -1,16 +1,21 @@
 """The network: stage arithmetic, init determinism, losses, checkpoints."""
 
+import json
 import math
 import pickle
+import struct
 
 import numpy as np
 import pytest
 
 from ctss.errors import DataFormatError, ValidationError
 from ctss.models import (
+    CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
     ModelConfig,
     build_mini_resnet1d,
     load_checkpoint,
+    parameter_count,
     per_sample_losses,
     save_checkpoint,
 )
@@ -70,6 +75,11 @@ class TestResnetBuilder:
         block2 = (w * w * 3 + w) + (w * w * 3 + w)
         head = 2 * w + 2
         assert model.flat.size == stem + block1 + block2 + head
+
+    @pytest.mark.parametrize("n_blocks", [1, 2, 3, 4])
+    def test_parameter_count_is_the_built_size(self, n_blocks):
+        cfg = ModelConfig(n_electrodes=3, n_timesteps=750, n_classes=4, width_base=5, n_blocks=n_blocks)
+        assert parameter_count(cfg) == build_mini_resnet1d(cfg).flat.size
 
     def test_too_deep_raises_naming_stage(self):
         with pytest.raises(ValidationError, match="stage"):
@@ -199,6 +209,15 @@ class TestCheckpoint:
         save_checkpoint(tiny_model(), path)
         path.write_bytes(path.read_bytes()[:-9])
         with pytest.raises(DataFormatError):
+            load_checkpoint(path)
+
+    def test_header_declaring_a_huge_model_is_rejected_before_building(self, tmp_path):
+        # a few bytes may not make the loader allocate the terabytes their architecture declares
+        arch = json.dumps({"builder": "mini_resnet1d",
+                           "kwargs": dict(vars(small_config()), n_electrodes=2 ** 40)}).encode("utf-8")
+        path = tmp_path / "model.bin"
+        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<HI", CHECKPOINT_VERSION, len(arch)) + arch)
+        with pytest.raises(DataFormatError, match="cannot hold"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("arch", [

@@ -7,20 +7,26 @@ of any of them fails here.
 
 BLAS kernels may sum in a different order on another CPU, so the goldens are
 keyed by the OpenBLAS core name; on a core with no goldens the test skips and
-names the core. A change that alters the bits on purpose must regenerate the
+names the core. On any CPU with AVX2 and FMA, the cases also rerun in a child
+process with OpenBLAS forced onto its ``Haswell`` kernels, so the parity check
+never skips there. A change that alters the bits on purpose must regenerate the
 goldens (run this module with ``CTSS_PRINT_GOLDENS=1`` and ``-s``) and say why.
 """
 
-import ctypes
 import dataclasses
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
+import ctss
 import ctss.coteaching
+from ctss.blas import openblas_core
 from ctss.coteaching import CoteachConfig, write_selection_log
 from ctss.data import GeneratorConfig, generate_cohort
 from ctss.evaluate import run_loso, write_results_csv
@@ -43,24 +49,8 @@ GOLDENS = {
         },
     },
 }
-
-
-def openblas_core() -> str | None:
-    """The OpenBLAS core numpy's BLAS runs on, or None where it cannot be asked."""
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = sorted({line.split(maxsplit=5)[-1].strip() for line in fh
-                            if "openblas" in line.rsplit("/", 1)[-1].lower()})
-        for path in paths:
-            lib = ctypes.CDLL(path)
-            for name in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
-                if hasattr(lib, name):
-                    fn = getattr(lib, name)
-                    fn.argtypes, fn.restype = [], ctypes.c_char_p
-                    return fn().decode("ascii")
-    except OSError:  # no procfs (not Linux), or a library deleted since it was mapped
-        pass
-    return None
+# Haswell's AVX2 kernels give the SkylakeX bits for these runs, serial and helper alike
+GOLDENS["Haswell"] = GOLDENS["SkylakeX"]
 
 
 def tiny_digests(tmp_path, method: str) -> dict[str, str]:
@@ -105,3 +95,31 @@ def test_outputs_match_goldens(tmp_path, monkeypatch, method, mode):
     assert got == GOLDENS[core][method]
     if mode == "helper":  # the baseline has no network g, so it stays on one thread
         assert threads == ({"MainThread", "ctss-g_0"} if method == "coteach" else {"MainThread"})
+
+
+def cpu_flags() -> set[str]:
+    """The CPU feature flags /proc/cpuinfo lists; empty where it cannot be read."""
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            return {flag for line in fh if line.startswith("flags") for flag in line.split(":", 1)[1].split()}
+    except OSError:
+        return set()
+
+
+@pytest.mark.skipif(not {"avx2", "fma"} <= cpu_flags(),
+                    reason="/proc/cpuinfo lists no avx2 or no fma, which OpenBLAS's Haswell kernels need")
+def test_outputs_match_goldens_on_the_forced_haswell_core():
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell",
+               PYTHONPATH=os.pathsep.join(filter(None, [str(Path(ctss.__file__).parents[1]),
+                                                        os.environ.get("PYTHONPATH")])))
+    env.pop("CTSS_PRINT_GOLDENS", None)
+    core = subprocess.run([sys.executable, "-c", "import numpy, ctss.blas; print(ctss.blas.openblas_core())"],
+                          env=env, capture_output=True, text=True, check=True).stdout.strip()
+    if core == "None":
+        pytest.skip("numpy's BLAS is not an OpenBLAS whose core can be asked")
+    assert core == "Haswell"
+    # all four cases above, serial and helper, in a process whose BLAS runs the Haswell kernels
+    child = subprocess.run([sys.executable, "-m", "pytest", "-q", "-rs", "-p", "no:cacheprovider",
+                            f"{__file__}::test_outputs_match_goldens"],
+                           env=env, capture_output=True, text=True, cwd=Path(__file__).parents[1])
+    assert child.returncode == 0 and "4 passed" in child.stdout and "skipped" not in child.stdout, child.stdout
