@@ -19,11 +19,10 @@ from pathlib import Path
 
 from . import __version__
 from .config import ExperimentConfig, load_config
-from .coteaching import METHODS, write_selection_log
+from .coteaching import METHODS
 from .data import generate_cohort, load_raw, save_raw
 from .errors import DataFormatError, NumericError, ValidationError
-from .evaluate import run_loso, write_results_csv, write_summary_json
-from .models import save_checkpoint
+from .evaluate import check_out_dir, run_loso, write_run
 
 log = logging.getLogger("ctss")
 
@@ -52,20 +51,6 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _check_out_dir(out_dir: Path, subject_ids) -> None:
-    """Refuse, before any fold trains, an output path under a file or holding another cohort's folds."""
-    existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
-    if not existing.is_dir():
-        raise DataFormatError(f"output path {out_dir}: {existing} exists and is not a directory")
-    if existing != out_dir:
-        return
-    stale = sorted(p for p in out_dir.iterdir()
-                   if p.is_dir() and re.fullmatch(r"fold_\d{3,}", p.name) and int(p.name[5:]) not in subject_ids)
-    if stale:
-        raise ValidationError(f"{stale[0]} holds a fold of a subject this cohort does not have; "
-                              "choose another --out or remove the old run")
-
-
 def cmd_run(args) -> int:
     cfg = _load_or_default_config(args.config)
     run_cfg = cfg.run
@@ -73,12 +58,6 @@ def cmd_run(args) -> int:
         run_cfg = replace(run_cfg, method=args.method)
     if args.seed is not None:
         run_cfg = replace(run_cfg, master_seed=args.seed)
-    if args.parallel_folds is not None:
-        run_cfg = replace(run_cfg, parallel_folds=args.parallel_folds)
-    out_dir = Path(args.out if args.out is not None else run_cfg.out_dir)
-    # the echo shows the method and seed that ran; parallel_folds is left as
-    # configured, since it cannot change a byte of the results
-    echo = replace(cfg, run=replace(cfg.run, method=run_cfg.method, master_seed=run_cfg.master_seed)).to_dict()
 
     if run_cfg.cohort_file:
         cohort = load_raw(run_cfg.cohort_file)
@@ -86,7 +65,7 @@ def cmd_run(args) -> int:
     else:
         cohort = generate_cohort(cfg.generator)
         log.info("generated cohort of %d subjects", len(cohort))
-    _check_out_dir(out_dir, {ds.subject_id for ds in cohort})
+    check_out_dir(Path(args.out), {ds.subject_id for ds in cohort})
 
     started = time.time()
     run = run_loso(
@@ -97,39 +76,13 @@ def cmd_run(args) -> int:
         cfg.generator,
         master_seed=run_cfg.master_seed,
         val_ratio=run_cfg.val_ratio,
-        parallel_folds=run_cfg.parallel_folds,
-        config_echo=echo,
+        parallel_folds=args.parallel_folds,
+        config_echo=replace(cfg, run=run_cfg).to_dict(),
     )
-    elapsed = time.time() - started
-
-    # created only now, so a run that fails leaves no empty directory behind
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_results_csv(run, out_dir / "results.csv")
-    write_summary_json(run, out_dir / "summary.json")
-    for fold in run.folds:
-        fold_dir = out_dir / f"fold_{fold.record.target_subject:03d}"
-        fold_dir.mkdir(parents=True, exist_ok=True)
-        save_checkpoint(fold.checkpoint.model, fold_dir / "checkpoint.bin")
-        selections = fold_dir / "selections.jsonl"
-        if fold.selection_records:
-            write_selection_log(fold.selection_records, selections)
-        else:  # a baseline rerun must not leave an earlier co-teaching run's log behind
-            selections.unlink(missing_ok=True)
-    manifest = {
-        "command": "run",
-        "config": echo,
-        "method": run_cfg.method,
-        "master_seed": run_cfg.master_seed,
-        "version": __version__,
-        "wall_time_seconds": elapsed,
-    }
-    with open(out_dir / "manifest.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
+    write_run(run, args.out, time.time() - started)
     print(f"{run_cfg.method}: mean balanced accuracy "
           f"{run.summary.mean_balanced_accuracy:.4f} "
-          f"(std {run.summary.std_balanced_accuracy:.4f}) over {len(run.folds)} folds -> {out_dir}")
+          f"(std {run.summary.std_balanced_accuracy:.4f}) over {len(run.folds)} folds -> {args.out}")
     return 0
 
 
@@ -215,11 +168,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run the leave-one-subject-out experiment")
     p_run.add_argument("--config", help="experiment config (INI); defaults apply when omitted")
-    p_run.add_argument("--out", help="output directory (overrides run.out_dir)")
+    p_run.add_argument("--out", required=True, help="output directory; a rerun replaces the run it holds")
     p_run.add_argument("--seed", type=int, help="override master seed")
     p_run.add_argument("--method", choices=METHODS, help="override run.method")
-    p_run.add_argument("--parallel-folds", type=int, dest="parallel_folds",
-                       help="train folds in up to K worker processes")
+    p_run.add_argument("--parallel-folds", type=int, default=1, dest="parallel_folds",
+                       help="train folds in up to K worker processes (default 1)")
     p_run.set_defaults(func=cmd_run)
 
     p_rep = sub.add_parser("report", help="print tables for a finished run directory")
@@ -235,8 +188,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValidationError, MemoryError) as exc:  # only config sizes reach an allocation numpy refuses
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

@@ -22,8 +22,6 @@ class RunConfig:
     method: str = "coteach"
     master_seed: int = 1
     val_ratio: float = 0.9
-    parallel_folds: int = 1
-    out_dir: str = "runs/latest"
     cohort_file: str = ""
 
     def __post_init__(self):
@@ -31,8 +29,6 @@ class RunConfig:
             raise ValidationError(f"run.method must be one of {METHODS}, got {self.method!r}")
         if not 0.0 < self.val_ratio < 1.0:
             raise ValidationError(f"run.val_ratio must be in (0, 1), got {self.val_ratio}")
-        if self.parallel_folds < 1:
-            raise ValidationError(f"run.parallel_folds must be >= 1, got {self.parallel_folds}")
 
 
 @dataclass(frozen=True)
@@ -73,10 +69,8 @@ _PARSERS = {
     "model": {"width_base": int, "n_blocks": int},
     # not CoteachConfig's optimizer and seed: sgd is for single-step checks, and run_fold seeds each fold
     "coteach": {"tau": float, "t_k": int, "t_max": int, "b": int, "lr": float},
-    "run": {
-        "method": str, "master_seed": int, "val_ratio": float,
-        "parallel_folds": int, "out_dir": str, "cohort_file": str,
-    },
+    # not where to write or how many workers: those change no result, so only the command line sets them
+    "run": {"method": str, "master_seed": int, "val_ratio": float, "cohort_file": str},
 }
 
 

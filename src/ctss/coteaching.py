@@ -66,8 +66,8 @@ class CoteachConfig:
         for name in ("t_k", "t_max", "b"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"coteach.{name} must be positive, got {getattr(self, name)}")
-        if not self.lr > 0:
-            raise ValidationError(f"coteach.lr must be > 0, got {self.lr}")
+        if not 0 < self.lr < np.inf:
+            raise ValidationError(f"coteach.lr must be in (0, inf), got {self.lr}")
         if self.optimizer not in ("adam", "sgd"):
             raise ValidationError(f"coteach.optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
 
@@ -342,7 +342,6 @@ class EpochStats:
 class RunLogs:
     selection_records: list[SelectionRecord]
     epoch_stats: list[EpochStats]
-    m_max: int
 
 
 @dataclass
@@ -424,8 +423,7 @@ def train_coteaching(train, val, model_config: ModelConfig, config: CoteachConfi
     # the winning network trained on after its best epoch: the checkpoint gets a copy rewound to it
     best.model = best.model.clone()
     best.model.flat[...] = best_flat
-    return TrainResult(checkpoint=best,
-                       logs=RunLogs(selection_records=selections, epoch_stats=epoch_stats, m_max=m_max))
+    return TrainResult(checkpoint=best, logs=RunLogs(selection_records=selections, epoch_stats=epoch_stats))
 
 
 def write_selection_log(records, path) -> None:

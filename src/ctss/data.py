@@ -77,8 +77,8 @@ class GeneratorConfig:
                 raise ValidationError(f"generator.{name} must be positive, got {getattr(self, name)}")
         if not self.snr > 0:
             raise ValidationError(f"generator.snr must be > 0, got {self.snr}")
-        if self.subject_shift_scale < 0:
-            raise ValidationError(f"generator.subject_shift_scale must be >= 0, got {self.subject_shift_scale}")
+        if not 0 <= self.subject_shift_scale < np.inf:
+            raise ValidationError(f"generator.subject_shift_scale must be in [0, inf), got {self.subject_shift_scale}")
         bad = [i for i in self.noisy_subject_ids if not 0 <= i < self.n_subjects]
         if bad:
             raise ValidationError(f"generator.noisy_subject_ids {bad} outside 0..{self.n_subjects - 1}")

@@ -1,4 +1,4 @@
-"""Leave-one-subject-out experiment driver, plain-training baseline, and reports.
+"""Leave-one-subject-out experiment driver, plain-training baseline, reports, and the run writer.
 
 Every fold derives its own seed from (master seed, target subject), so folds
 are independent, reproducible, and safe to run in parallel. The baseline runs
@@ -10,11 +10,15 @@ from __future__ import annotations
 
 import csv
 import json
+import re
+import shutil
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .coteaching import (
     Checkpoint,
     CoteachConfig,
@@ -22,11 +26,12 @@ from .coteaching import (
     SelectionRecord,
     TrainResult,
     train_coteaching,
+    write_selection_log,
 )
 from .data import GeneratorConfig, augment_rest_class, loso_split, train_val_split
-from .errors import ValidationError
+from .errors import DataFormatError, ValidationError
 from .metrics import evaluate_balanced_accuracy
-from .models import ModelConfig
+from .models import ModelConfig, save_checkpoint
 from .seeding import derive_seed
 
 
@@ -115,6 +120,8 @@ def run_loso(cohort, method: str, model_config: ModelConfig, train_config: Cotea
     """One fold per cohort subject; aggregates mean/std over fold balanced accuracies."""
     if len(cohort) < 2:
         raise ValidationError("leave-one-subject-out requires at least 2 subjects")
+    if parallel_folds < 1:
+        raise ValidationError(f"--parallel-folds must be >= 1, got {parallel_folds}")
     targets = [ds.subject_id for ds in cohort]
     tasks = [(cohort, sid, method, model_config, train_config, generator_config,
               master_seed, val_ratio) for sid in targets]
@@ -193,7 +200,8 @@ def selection_frequency_report(records, window: tuple[int, int]) -> dict[int, di
 
 
 # ---------------------------------------------------------------------------
-# result files
+# the run directory: results.csv, summary.json, fold_NNN/checkpoint.bin,
+# fold_NNN/selections.jsonl (coteach only), and manifest.json, written last
 
 RESULTS_FIELDS = ("run_id", "method", "target_subject", "balanced_accuracy", "best_epoch", "seed")
 
@@ -208,7 +216,51 @@ def write_results_csv(run: LosoRun, path) -> None:
                              repr(rec.balanced_accuracy), rec.best_epoch, rec.seed])
 
 
-def write_summary_json(run: LosoRun, path) -> None:
+def _write_json(obj: dict, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(run.summary.to_json_dict(), fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def write_summary_json(run: LosoRun, path) -> None:
+    _write_json(run.summary.to_json_dict(), path)
+
+
+def check_out_dir(out_dir: Path, subject_ids) -> None:
+    """Refuse an output path under a file, a directory holding anything but a run, or another cohort's run."""
+    existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not existing.is_dir():
+        raise DataFormatError(f"output path {out_dir}: {existing} exists and is not a directory")
+    if existing != out_dir or not any(out_dir.iterdir()):
+        return
+    if not (out_dir / "manifest.json").is_file():
+        raise ValidationError(f"{out_dir} is not empty and holds no run (no manifest.json); "
+                              "choose another --out or empty it")
+    stale = sorted(p for p in out_dir.iterdir()
+                   if p.is_dir() and re.fullmatch(r"fold_\d{3,}", p.name) and int(p.name[5:]) not in subject_ids)
+    if stale:
+        raise ValidationError(f"{stale[0]} holds a fold of a subject this cohort does not have; "
+                              "choose another --out or remove the old run")
+
+
+def write_run(run: LosoRun, out_dir, wall_time_seconds: float) -> None:
+    """Replace the run ``out_dir`` holds, if any, with this one, every file of the old run removed."""
+    out_dir = Path(out_dir)
+    check_out_dir(out_dir, {rec.target_subject for rec in run.summary.folds})
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for entry in out_dir.iterdir():  # the directory itself stays, be it the working directory or a link
+        if entry.is_dir() and not entry.is_symlink():
+            shutil.rmtree(entry)
+        else:
+            entry.unlink()
+    write_results_csv(run, out_dir / "results.csv")
+    write_summary_json(run, out_dir / "summary.json")
+    for fold in run.folds:
+        fold_dir = out_dir / f"fold_{fold.record.target_subject:03d}"
+        fold_dir.mkdir()
+        save_checkpoint(fold.checkpoint.model, fold_dir / "checkpoint.bin")
+        if fold.selection_records:
+            write_selection_log(fold.selection_records, fold_dir / "selections.jsonl")
+    _write_json({"command": "run", "config": run.summary.config_echo, "method": run.summary.method,
+                 "master_seed": run.summary.master_seed, "version": __version__,
+                 "wall_time_seconds": wall_time_seconds}, out_dir / "manifest.json")

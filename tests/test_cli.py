@@ -35,6 +35,7 @@ n_blocks = 1
 [coteach]
 t_max = 2
 b = 2
+lr = 0.01
 
 [run]
 method = coteach
@@ -87,15 +88,19 @@ class TestConfigValidation:
         (b"tau = 0.1\n", "no section headers"),
         (b"[coteach]\ntau = 0.1\ntau = 0.2\n", "option 'tau'"),
         (b"[coteach]\ntau = 0.1\n[coteach]\nb = 2\n", "section 'coteach'"),
-        (b"[run]\nout_dir = runs/50%\n", "'%'"),
-        (b"[run]\nout_dir = \xff\xfe\n", "utf-8"),
+        (b"[run]\ncohort_file = runs/50%\n", "'%'"),
+        (b"[run]\ncohort_file = \xff\xfe\n", "utf-8"),
         (b"[generator]\nnoise_mode = rest\n", "generator.noise_mode"),
         (b"[coteach]\nm_max = 3\n", "coteach.m_max"),
         (b"[coteach]\nmin_lr = 0.001\n", "coteach.min_lr"),
         (b"[coteach]\noptimizer = sgd\n", "coteach.optimizer"),
         (b"[coteach]\nseed = 5\n", "coteach.seed"),  # run_fold seeds every fold itself
+        # the command line alone sets these two; the toy config keeps a run that accepted them short
+        (TOY_CONFIG.encode() + b"out_dir = runs/latest\n", "run.out_dir"),
+        (TOY_CONFIG.encode() + b"parallel_folds = 2\n", "run.parallel_folds"),
     ], ids=["unknown-key", "no-section", "duplicate-option", "duplicate-section",
-            "bare-percent", "non-utf8", "noise_mode", "m_max", "min_lr", "optimizer", "coteach-seed"])
+            "bare-percent", "non-utf8", "noise_mode", "m_max", "min_lr", "optimizer", "coteach-seed",
+            "out_dir", "parallel_folds"])
     def test_unknown_key_exits_2(self, tmp_path, capsys, content, named):
         path = tmp_path / "bad.ini"
         path.write_bytes(content)
@@ -103,6 +108,41 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert named in err
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("named, value", [
+        ("coteach.lr", "inf"),
+        ("coteach.lr", "nan"),
+        ("generator.subject_shift_scale", "nan"),
+        ("generator.subject_shift_scale", "inf"),
+    ])
+    def test_non_finite_value_exits_2_naming_key(self, tmp_path, capsys, monkeypatch, named, value):
+        path = tmp_path / "bad.ini"
+        key = named.split(".")[1]
+        path.write_text(re.sub(rf"^{key} = .*$", f"{key} = {value}", TOY_CONFIG, flags=re.M))
+        folds = spy_folds(monkeypatch)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err
+        assert named in err and len(err.splitlines()) == 1
+        assert folds == []
+
+    def test_infinite_snr_is_accepted(self, tmp_path):  # a noise-free cohort
+        path = tmp_path / "clean.ini"
+        path.write_text("[generator]\nsnr = inf\n")
+        assert load_config(path).generator.snr == float("inf")
+
+    @pytest.mark.parametrize("command, content", [
+        ("generate", "[generator]\nn_timesteps = 100000000000000000\n"),
+        ("run", TOY_CONFIG.replace("width_base = 2", "width_base = 10000000000000000")),
+    ], ids=["generate-n_timesteps", "run-width_base"])
+    def test_out_of_memory_size_exits_2(self, tmp_path, capsys, command, content):
+        # each first array is larger than any 64-bit address space, so numpy refuses it whatever the machine
+        path = tmp_path / "huge.ini"
+        path.write_text(content)
+        out = tmp_path / ("cohort.ctss" if command == "generate" else "r")
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "Unable to allocate" in err and len(err.splitlines()) == 1
+        assert not out.exists()
 
     def test_missing_config_file_exits_2(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.ini"),
@@ -241,6 +281,34 @@ class TestRun:
         assert (out / "results.csv").read_bytes() == results  # nothing rewritten or deleted
         assert (out / "fold_002" / "checkpoint.bin").exists()
 
+    def test_out_holding_no_run_exits_2_before_training(self, toy_config, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "notes"
+        out.mkdir()
+        (out / "keep.txt").write_text("mine")
+        folds = spy_folds(monkeypatch)
+        assert main(["run", "--config", str(toy_config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(out) in err and "manifest.json" in err and len(err.strip().splitlines()) == 1
+        assert folds == []
+        assert [p.name for p in out.iterdir()] == ["keep.txt"]
+        assert (out / "keep.txt").read_text() == "mine"
+
+    def test_empty_out_dir_is_written(self, toy_config, tmp_path):
+        out = tmp_path / "empty"
+        out.mkdir()
+        assert main(["run", "--config", str(toy_config), "--out", str(out)]) == 0
+        assert (out / "manifest.json").is_file()
+
+    def test_rerun_replaces_the_earlier_run_whole(self, toy_config, tmp_path):
+        out = tmp_path / "r"
+        assert main(["run", "--config", str(toy_config), "--out", str(out)]) == 0
+        before = {p.relative_to(out) for p in out.rglob("*")}
+        (out / "fold_000" / "stray.txt").write_text("left behind")
+        (out / "notes.txt").write_text("left behind")
+        (out / "extra").mkdir()
+        assert main(["run", "--config", str(toy_config), "--out", str(out)]) == 0
+        assert {p.relative_to(out) for p in out.rglob("*")} == before
+
     def test_baseline_over_a_coteach_run_leaves_no_selection_logs(self, toy_config, tmp_path, capsys):
         out = tmp_path / "r"
         assert main(["run", "--config", str(toy_config), "--out", str(out), "--method", "coteach"]) == 0
@@ -259,6 +327,23 @@ class TestRun:
                      "--parallel-folds", "2"]) == 0
         assert (seq / "results.csv").read_bytes() == (par / "results.csv").read_bytes()
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_parallel_folds_below_1_exits_2_before_training(self, toy_config, tmp_path, capsys, monkeypatch,
+                                                            workers):
+        folds = spy_folds(monkeypatch)
+        out = tmp_path / "r"
+        assert main(["run", "--config", str(toy_config), "--out", str(out), "--parallel-folds", workers]) == 2
+        err = capsys.readouterr().err
+        assert "--parallel-folds" in err and len(err.strip().splitlines()) == 1
+        assert folds == []
+        assert not out.exists()
+
+    def test_run_requires_out(self, toy_config, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(toy_config)])
+        assert exc.value.code == 2
+        assert "--out" in capsys.readouterr().err
+
     def test_config_echo_shows_the_overridden_method_and_seed(self, toy_config, tmp_path):
         out = tmp_path / "r"
         assert main(["run", "--config", str(toy_config), "--out", str(out), "--method", "baseline",
@@ -266,7 +351,7 @@ class TestRun:
         for name in ("summary.json", "manifest.json"):
             echo = json.loads((out / name).read_text())["config"]["run"]
             assert (echo["method"], echo["master_seed"]) == ("baseline", 4), name
-            assert echo["parallel_folds"] == 1, name  # as configured: it changes no result
+            assert "out_dir" not in echo and "parallel_folds" not in echo, name  # neither changes a result
 
     def test_config_echo_loads_back_as_the_config_that_ran(self, toy_config, tmp_path):
         out = tmp_path / "r"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import ctss.evaluate
-from ctss.coteaching import CoteachConfig, SelectionRecord, train_coteaching
+from ctss.coteaching import CoteachConfig, SelectionRecord, default_m_max, train_coteaching
 from ctss.data import GeneratorConfig, augment_rest_class, generate_cohort, train_val_split
 from ctss.errors import ValidationError
 from ctss.evaluate import (
@@ -119,7 +119,7 @@ class TestTrainBaseline:
         result = train_baseline(train, val, toy_model_config(), cc,
                                 epoch_callback=lambda t, models: seen.append(sorted(models)))
         # one taped full-batch forward per iteration, no selections, one network named "baseline"
-        assert taped == [cc.b * len(train)] * (cc.t_max * result.logs.m_max)
+        assert taped == [cc.b * len(train)] * (cc.t_max * default_m_max(train, cc.b))
         assert result.logs.selection_records == []
         assert seen == [["baseline"]] * cc.t_max
 
@@ -195,6 +195,13 @@ class TestRunLoso:
         par = run_loso(cohort, "baseline", toy_model_config(), cc, gen, master_seed=4,
                        parallel_folds=2)
         assert seq.summary.folds == par.summary.folds
+
+    @pytest.mark.parametrize("parallel_folds", [0, -3])
+    def test_parallel_folds_below_1_raises(self, parallel_folds):
+        gen = toy_generator(n_subjects=3, seed=18)
+        with pytest.raises(ValidationError, match="parallel-folds"):
+            run_loso(generate_cohort(gen), "baseline", toy_model_config(), CoteachConfig(t_max=1, seed=0),
+                     gen, master_seed=4, parallel_folds=parallel_folds)
 
     @pytest.mark.parametrize("parallel_folds, workers", [(2, 2), (3, 3), (5000, 3)])
     def test_fold_workers_capped_at_fold_count(self, monkeypatch, parallel_folds, workers):
