@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataFormatError, ValidationError
+from .errors import DataFormatError, NumericError, ValidationError
 from .seeding import derive_seed
 from .tensor import Tensor
 
@@ -75,8 +75,8 @@ class GeneratorConfig:
         for name in ("n_subjects", "n_imagery_classes", "trials_per_class", "n_electrodes", "n_timesteps"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"generator.{name} must be positive, got {getattr(self, name)}")
-        if not self.snr > 0:
-            raise ValidationError(f"generator.snr must be > 0, got {self.snr}")
+        if not (self.snr > 0 and 1.0 / self.snr < np.inf):  # 1/snr is the noise sigma
+            raise ValidationError(f"generator.snr must be > 0 with a finite 1/snr, got {self.snr}")
         if not 0 <= self.subject_shift_scale < np.inf:
             raise ValidationError(f"generator.subject_shift_scale must be in [0, inf), got {self.subject_shift_scale}")
         bad = [i for i in self.noisy_subject_ids if not 0 <= i < self.n_subjects]
@@ -139,8 +139,9 @@ def augment_rest_class(ds: SubjectDataset, config: GeneratorConfig) -> SubjectDa
     """Append one freshly drawn rest trial per existing trial, labeled n_imagery_classes.
 
     Doubles the trial count and adds one class. Original trials are carried
-    over bitwise. Rejects datasets that already contain rest labels, and
-    trials whose [E, T] shape differs from the generator config's.
+    over bitwise. Rejects trials whose [E, T] shape differs from the generator
+    config's, and labels other than exactly its imagery classes, each present
+    (so an augmented dataset, which holds the rest class too).
     """
     expected = (config.n_electrodes, config.n_timesteps)
     if ds.trials.shape[1:] != expected:
@@ -149,9 +150,11 @@ def augment_rest_class(ds: SubjectDataset, config: GeneratorConfig) -> SubjectDa
             f"the generator config gives [n_electrodes, n_timesteps] = {list(expected)}"
         )
     rest_label = config.n_imagery_classes
-    if ds.labels.max() >= rest_label:
+    found = np.unique(ds.labels)
+    if not np.array_equal(found, np.arange(rest_label)):
         raise ValidationError(
-            f"subject {ds.subject_id} already contains rest-class labels; refusing to augment twice"
+            f"subject {ds.subject_id} has labels {found.tolist()} but generator.n_imagery_classes = "
+            f"{rest_label} needs exactly {list(range(rest_label))}, each present"
         )
     offset = subject_offset(config, ds.subject_id)
     sigma = 1.0 / config.snr
@@ -242,12 +245,15 @@ def load_raw(path) -> list[SubjectDataset]:
     if version != RAW_VERSION:
         raise DataFormatError(f"{path}: unsupported cohort version {version}")
     offset = 10
-    cohort = []
+    cohort, seen = [], set()
     for _ in range(n_subjects):
         header_end = offset + struct.calcsize("<IBIII")
         if header_end > len(view):
             raise DataFormatError(f"{path}: file truncated in subject header")
         sid, noisy, n, e, t = struct.unpack_from("<IBIII", view, offset)
+        if sid in seen:
+            raise DataFormatError(f"{path}: subject {sid} appears twice")
+        seen.add(sid)
         block_len = (header_end - offset) + 2 * n + 8 * n * e * t
         if offset + block_len + 4 > len(view):
             raise DataFormatError(f"{path}: file truncated in subject {sid} payload")
@@ -258,8 +264,11 @@ def load_raw(path) -> list[SubjectDataset]:
         labels = np.frombuffer(view, dtype="<u2", count=n, offset=cursor).astype(np.int64)
         cursor += 2 * n
         data = np.frombuffer(view, dtype="<f8", count=n * e * t, offset=cursor)
-        cohort.append(SubjectDataset(subject_id=sid, trials=Tensor(data.reshape(n, e, t).copy()),
-                                     labels=labels, is_noisy=bool(noisy)))
+        try:
+            cohort.append(SubjectDataset(subject_id=sid, trials=Tensor(data.reshape(n, e, t).copy()),
+                                         labels=labels, is_noisy=bool(noisy)))
+        except (ValidationError, NumericError) as exc:  # no trials, or a NaN or inf among them
+            raise DataFormatError(f"{path}: bad subject {sid} block ({exc})") from None
         offset += block_len + 4
     if offset != len(view):
         raise DataFormatError(f"{path}: {len(view) - offset} trailing bytes after last subject")

@@ -128,9 +128,10 @@ class Model:
         self._view_flat()
 
     def _view_flat(self) -> None:
-        params = self.parameters()
-        for p, view in zip(params, T.split_views(self.flat, [p.shape for p in params])):
-            p.data = view
+        offset = 0
+        for p in self.parameters():
+            p.data = self.flat[offset:offset + p.size].reshape(p.shape)
+            offset += p.size
 
     def __setstate__(self, state: dict) -> None:
         # a copy or an unpickled model gets each parameter as its own array: view flat again

@@ -14,12 +14,10 @@ primitives take no other rank, so a single trial is a batch of one.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 from typing import Callable, Iterable, Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import DimensionError, NumericError, StateError, ValidationError
 
@@ -159,26 +157,8 @@ class Tape:
 # shape helpers
 
 
-def split_views(flat: np.ndarray, shapes: Iterable[tuple[int, ...]]) -> list[np.ndarray]:
-    """Consecutive views of the vector ``flat``, one per shape, in order."""
-    views, offset = [], 0
-    for shape in shapes:
-        size = math.prod(shape)
-        views.append(flat[offset:offset + size].reshape(shape))
-        offset += size
-    return views
-
-
 def conv_output_length(length: int, kernel: int, stride: int, padding: int) -> int:
     return (length + 2 * padding - kernel) // stride + 1
-
-
-def _sliding_windows(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
-    """Read-only view [B, C, L_out, K] of every stride-spaced window."""
-    b, c, length = x.shape
-    n_out = (length - kernel) // stride + 1
-    sb, sc, sl = x.strides
-    return as_strided(x, shape=(b, c, n_out, kernel), strides=(sb, sc, sl * stride, sl), writeable=False)
 
 
 @lru_cache(maxsize=64)
@@ -213,6 +193,18 @@ def conv_windows(x: Tensor, k: int, stride: int, padding: int) -> np.ndarray:
     cols = cols.reshape(c * k, b * n_out)
     cols.flags.writeable = False
     return cols
+
+
+def _scatter_taps(spread: np.ndarray, length: int, stride: int, padding: int) -> np.ndarray:
+    """The input gradient [B, C, length] of a window op whose tap j of window l read position
+    ``l * stride + j - padding``, from each tap's share ``spread`` [B, C, K, L_out]."""
+    b, c, k, n_out = spread.shape
+    gx = np.zeros((b, c, length), dtype=np.float64)
+    # in tap order, so overlapping windows always sum alike
+    for j, (lo, hi, start) in enumerate(_tap_windows(k, stride, padding, length, n_out)):
+        if lo < hi:
+            gx[:, :, start:start + stride * (hi - lo):stride] += spread[:, :, j, lo:hi]
+    return gx
 
 
 # ---------------------------------------------------------------------------
@@ -276,14 +268,8 @@ def conv1d(
             gker = (gflat.T @ cols.T).reshape(c_out, c, k)
             if not tape.wants(xk):
                 return [(kk, gker), (bk, gbias)]
-            # spread[b, c, j, l] is tap j's share of input position l * stride + j - padding
             spread = np.matmul(kflat.T, gout).reshape(b, c, k, n_out)
-            gx = np.zeros((b, c, length), dtype=np.float64)
-            # in tap order, so overlapping windows always sum alike
-            for j, (lo, hi, start) in enumerate(_tap_windows(k, stride, padding, length, n_out)):
-                if lo < hi:
-                    gx[:, :, start:start + stride * (hi - lo):stride] += spread[:, :, j, lo:hi]
-            return [(xk, gx), (kk, gker), (bk, gbias)]
+            return [(xk, _scatter_taps(spread, length, stride, padding)), (kk, gker), (bk, gbias)]
 
         tape.record(result, back)
     return result
@@ -325,23 +311,19 @@ def maxpool1d(x: Tensor, k: int, stride: int, tape: Optional[Tape] = None) -> Te
     b, c, length = x.shape
     if k > length:
         raise DimensionError(f"maxpool1d window {k} exceeds input length {length}")
-    windows = _sliding_windows(x.data, k, stride)
-    out = windows.max(axis=3)
+    n_out = conv_output_length(length, k, stride, 0)
+    windows = conv_windows(x, k, stride, 0).reshape(c, k, b, n_out).transpose(2, 0, 1, 3)  # [B, C, K, L_out]
+    out = windows.max(axis=2)
     _ensure_finite(out, "maxpool1d")
     result = Tensor(out, check_finite=False)
 
     if tape is not None:
-        argmax = windows.argmax(axis=3)  # first maximal index on ties
-        n_out = out.shape[2]
+        first = windows.argmax(axis=2)[:, :, None]  # first maximal tap on ties
         xk = x.key
 
         def back(gout: np.ndarray):
-            gx = np.zeros((b, c, length), dtype=np.float64)
-            bi = np.arange(b)[:, None, None]
-            ci = np.arange(c)[None, :, None]
-            pos = np.arange(n_out)[None, None, :] * stride + argmax
-            np.add.at(gx, (bi, ci, pos), gout)
-            return [(xk, gx)]
+            spread = np.where(np.arange(k)[:, None] == first, gout[:, :, None], 0.0)
+            return [(xk, _scatter_taps(spread, length, stride, 0))]
 
         tape.record(result, back)
     return result

@@ -6,13 +6,15 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ctss.evaluate
 from ctss.cli import main
 from ctss.config import ExperimentConfig, load_config
 from ctss.coteaching import read_selection_log
-from ctss.data import GeneratorConfig, load_raw
+from ctss.data import GeneratorConfig, generate_cohort, load_raw, save_raw
+from test_data import add_empty_subject
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -114,6 +116,7 @@ class TestConfigValidation:
         ("coteach.lr", "nan"),
         ("generator.subject_shift_scale", "nan"),
         ("generator.subject_shift_scale", "inf"),
+        ("generator.snr", "1e-320"),  # finite, but its reciprocal, the noise sigma, is not
     ])
     def test_non_finite_value_exits_2_naming_key(self, tmp_path, capsys, monkeypatch, named, value):
         path = tmp_path / "bad.ini"
@@ -240,6 +243,50 @@ class TestRun:
         err = capsys.readouterr().err
         assert "[2, 32]" in err
         assert str([value, 32] if key == "n_electrodes" else [2, value]) in err
+
+    @pytest.mark.parametrize("fault", ["non-finite", "no-trials", "repeated-id"])
+    def test_cohort_file_fault_exits_4_before_training(self, toy_config, tmp_path, capsys, monkeypatch, fault):
+        cohort = generate_cohort(load_config(toy_config).generator)
+        if fault == "non-finite":
+            cohort[0].trials.data[3, 1, 7] = np.nan
+        if fault == "repeated-id":
+            cohort[1].subject_id = 0
+        cohort_path = tmp_path / "cohort.ctss"
+        save_raw(cohort[1:] if fault == "no-trials" else cohort, cohort_path)
+        if fault == "no-trials":
+            add_empty_subject(cohort_path, 0)
+        cfg = tmp_path / "faulty.ini"
+        cfg.write_text(TOY_CONFIG + f"cohort_file = {cohort_path}\n")
+        folds = spy_folds(monkeypatch)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 4
+        err = capsys.readouterr().err
+        assert str(cohort_path) in err and "subject 0" in err and len(err.splitlines()) == 1
+        assert folds == []
+
+    @pytest.mark.parametrize("n_imagery_classes, only_class_0, found", [
+        (1, False, [0, 1]),  # a label the config does not know
+        (3, False, [0, 1]),  # a configured class no trial carries
+        (2, True, [0]),  # subject 0 holds class 0 only
+    ], ids=["fewer-classes", "more-classes", "subject-missing-a-class"])
+    def test_cohort_labels_not_the_configured_classes_exit_2_before_training(
+            self, toy_config, tmp_path, capsys, monkeypatch, n_imagery_classes, only_class_0, found):
+        cohort = generate_cohort(load_config(toy_config).generator)
+        if only_class_0:
+            cohort[0].labels[:] = 0
+        cohort_path = tmp_path / "cohort.ctss"
+        save_raw(cohort, cohort_path)
+        cfg = tmp_path / "classes.ini"
+        cfg.write_text(re.sub(r"^n_imagery_classes = .*$", f"n_imagery_classes = {n_imagery_classes}",
+                              TOY_CONFIG, flags=re.M) + f"cohort_file = {cohort_path}\n")
+        trained = []
+        train = ctss.evaluate.train_coteaching
+        monkeypatch.setattr(ctss.evaluate, "train_coteaching",
+                            lambda *args, **kwargs: trained.append(args) or train(*args, **kwargs))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err
+        assert "subject 0" in err and f"labels {found}" in err and len(err.splitlines()) == 1
+        assert f"generator.n_imagery_classes = {n_imagery_classes}" in err
+        assert trained == []
 
     def test_failed_run_leaves_no_out_dir(self, toy_config, tmp_path, capsys):
         cfg = tmp_path / "missing.ini"

@@ -1,5 +1,8 @@
 """Cohort generation, augmentation, splits, and the raw file format."""
 
+import struct
+import zlib
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -28,6 +31,15 @@ def toy_config(**overrides):
                 noisy_subject_ids=(), seed=123)
     base.update(overrides)
     return GeneratorConfig(**base)
+
+
+def add_empty_subject(path, subject_id: int) -> None:
+    """Put first in the cohort file a well-formed, CRC-tailed block for ``subject_id`` that holds no trials."""
+    blob = path.read_bytes()
+    (count,) = struct.unpack_from("<I", blob, 6)
+    block = struct.pack("<IBIII", subject_id, 0, 0, 2, 32)
+    path.write_bytes(blob[:6] + struct.pack("<I", count + 1) + block
+                     + struct.pack("<I", zlib.crc32(block)) + blob[10:])
 
 
 class TestGenerateCohort:
@@ -113,6 +125,8 @@ class TestGenerateCohort:
             toy_config(n_imagery_classes=0)
         with pytest.raises(ValidationError):
             toy_config(snr=0.0)
+        with pytest.raises(ValidationError, match="generator.snr"):
+            toy_config(snr=1e-320)  # 1/snr, the noise sigma, overflows
         with pytest.raises(ValidationError):
             toy_config(noisy_subject_ids=(9,))
 
@@ -139,6 +153,20 @@ class TestAugmentRestClass:
         np.testing.assert_array_equal(out.trials.data[:ds.n_trials], ds.trials.data)
         np.testing.assert_array_equal(out.labels[:ds.n_trials], ds.labels)
         assert np.all(out.labels[ds.n_trials:] == cfg.n_imagery_classes)
+
+    @pytest.mark.parametrize("n_imagery_classes, only_class, found", [
+        (1, None, [0, 1]),  # a class the config does not know
+        (3, None, [0, 1]),  # a configured class with no trials
+        (2, 0, [0]),  # one subject holding one class only
+    ])
+    def test_labels_must_be_exactly_the_imagery_classes(self, n_imagery_classes, only_class, found):
+        ds = generate_cohort(toy_config())[1]
+        if only_class is not None:
+            ds.labels[:] = only_class
+        with pytest.raises(ValidationError) as info:
+            augment_rest_class(ds, toy_config(n_imagery_classes=n_imagery_classes))
+        message = str(info.value)
+        assert "subject 1" in message and str(found) in message and "generator.n_imagery_classes" in message
 
     def test_double_augmentation_rejected(self):
         cfg = toy_config()
@@ -270,6 +298,29 @@ class TestRawFiles:
         save_raw(generate_cohort(toy_config()), path)
         path.write_bytes(path.read_bytes()[:-20])
         with pytest.raises(DataFormatError, match="truncated"):
+            load_raw(path)
+
+    def test_non_finite_trial_refused(self, tmp_path):
+        cohort = generate_cohort(toy_config())
+        cohort[2].trials.data[1, 0, 5] = np.nan
+        path = tmp_path / "cohort.ctss"
+        save_raw(cohort, path)
+        with pytest.raises(DataFormatError, match=r"cohort\.ctss: bad subject 2 block \(non-finite"):
+            load_raw(path)
+
+    def test_subject_without_trials_refused(self, tmp_path):
+        path = tmp_path / "cohort.ctss"
+        save_raw(generate_cohort(toy_config(n_electrodes=2))[1:], path)
+        add_empty_subject(path, 0)
+        with pytest.raises(DataFormatError, match=r"cohort\.ctss: bad subject 0 block \(.*no trials"):
+            load_raw(path)
+
+    def test_repeated_subject_id_refused(self, tmp_path):
+        cohort = generate_cohort(toy_config())
+        cohort[2].subject_id = 0
+        path = tmp_path / "cohort.ctss"
+        save_raw(cohort, path)
+        with pytest.raises(DataFormatError, match=r"cohort\.ctss: subject 0 appears twice"):
             load_raw(path)
 
     def test_version_mismatch(self, tmp_path):

@@ -1,9 +1,10 @@
 """Bit-for-bit parity of training outputs against checked-in SHA-256 goldens.
 
-Each case runs a tiny leave-one-subject-out experiment and hashes what a run
+Each case runs a small leave-one-subject-out experiment and hashes what a run
 directory holds: ``results.csv``, and for the first fold its checkpoint bytes,
 its ``selections.jsonl`` and its per-epoch stats. A change that moves one bit
-of any of them fails here.
+of any of them fails here. The tiny case stops after stage 2; the four-stage
+case runs the full backbone, max pools included.
 
 BLAS kernels may sum in a different order on another CPU, so the goldens are
 keyed by the OpenBLAS core name; on a core with no goldens the test skips and
@@ -32,33 +33,73 @@ from ctss.data import GeneratorConfig, generate_cohort
 from ctss.evaluate import run_loso, write_results_csv
 from ctss.models import ModelConfig, save_checkpoint
 
-# one set per method: forcing network g onto the helper thread must not move a bit
+# one set per case and method: forcing network g onto the helper thread must not move a bit
 GOLDENS = {
     "SkylakeX": {
-        "coteach": {
-            "results.csv": "474d0e9c4a6cb64871c73102c374abc93ba3fe13ae97b711fad3b499796b444a",
-            "checkpoint.bin": "569652d09e503db284e74f521d5d8769adf9046bec85ac920f2fb47687d1c5c4",
-            "selections.jsonl": "cf29a7546618cc46087613bdbf805e6290421a468e68943318df88cd12f4718d",
-            "epochs.json": "151d6e69407164e7dc1fd016bc7ac87463c1cd0a1bf31d5919fc87f0f471b043",
+        "tiny": {
+            "coteach": {
+                "results.csv": "474d0e9c4a6cb64871c73102c374abc93ba3fe13ae97b711fad3b499796b444a",
+                "checkpoint.bin": "569652d09e503db284e74f521d5d8769adf9046bec85ac920f2fb47687d1c5c4",
+                "selections.jsonl": "cf29a7546618cc46087613bdbf805e6290421a468e68943318df88cd12f4718d",
+                "epochs.json": "151d6e69407164e7dc1fd016bc7ac87463c1cd0a1bf31d5919fc87f0f471b043",
+            },
+            "baseline": {
+                "results.csv": "85c73e2d66ff90ad97ccd55a709e692dd1ec51b54b84ffb2636b1e79faee3028",
+                "checkpoint.bin": "e5f7d82d55ef807e029ff4083f38f0187ee5f3e05521bb15ada0e9bac8c7f5fc",
+                "selections.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",  # empty
+                "epochs.json": "26806e6f5241bb9116cb254532d5714dde040f35face321223616edabb4bfcf3",
+            },
         },
-        "baseline": {
-            "results.csv": "85c73e2d66ff90ad97ccd55a709e692dd1ec51b54b84ffb2636b1e79faee3028",
-            "checkpoint.bin": "e5f7d82d55ef807e029ff4083f38f0187ee5f3e05521bb15ada0e9bac8c7f5fc",
-            "selections.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",  # empty
-            "epochs.json": "26806e6f5241bb9116cb254532d5714dde040f35face321223616edabb4bfcf3",
+        "four_stage": {
+            "coteach": {
+                "results.csv": "08672d0932889a2ab76d7ca2f5fd14d9aae4db2c9be97680844f3c1e0ab49f72",
+                "checkpoint.bin": "49e817b6c262338c6126addd479744e5cf9e9a346b012f50bd0332399e9ed85a",
+                "selections.jsonl": "c16986692a5e177df0b27f5b8eeee292ab8af20c5394663f66db741071f21d83",
+                "epochs.json": "19e6b3e4baa8389117b6ff773ad1292bd0de5f1e8957a588fd00b80372935054",
+            },
+            "baseline": {
+                "results.csv": "acfa8095b02bdda5a156c86511ac30af9465c3e11427f64c78f81ec01da98a32",
+                "checkpoint.bin": "680ccd1113b939b5bff31d20e6e50353f93976c17644183504c52c6fa1354221",
+                "selections.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",  # empty
+                "epochs.json": "221028249adf439a6690ca979f7f5fa0d21783e41eebe2ecd1f8eaad271befe2",
+            },
+        },
+    },
+    "Haswell": {
+        "four_stage": {
+            # the same results.csv and epoch stats as SkylakeX, but other last bits in the weights
+            "coteach": {
+                "results.csv": "08672d0932889a2ab76d7ca2f5fd14d9aae4db2c9be97680844f3c1e0ab49f72",
+                "checkpoint.bin": "f0bba17203d50025003411d59e6f381fa47ed15de3a22c1420d36effa0c8a50b",
+                "selections.jsonl": "11ec9fc066a39cba6afa6c4c849bb1385cbb5b98b1f850c97e9d854cb23d7431",
+                "epochs.json": "19e6b3e4baa8389117b6ff773ad1292bd0de5f1e8957a588fd00b80372935054",
+            },
+            "baseline": {
+                "results.csv": "acfa8095b02bdda5a156c86511ac30af9465c3e11427f64c78f81ec01da98a32",
+                "checkpoint.bin": "0ec94e5a86087be00b09f6b6c2297ebcf12d572e60e930648a54eb72a2d846d2",
+                "selections.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",  # empty
+                "epochs.json": "221028249adf439a6690ca979f7f5fa0d21783e41eebe2ecd1f8eaad271befe2",
+            },
         },
     },
 }
-# Haswell's AVX2 kernels give the SkylakeX bits for these runs, serial and helper alike
-GOLDENS["Haswell"] = GOLDENS["SkylakeX"]
+# Haswell's AVX2 kernels give the SkylakeX bits for the tiny runs, serial and helper alike
+GOLDENS["Haswell"]["tiny"] = GOLDENS["SkylakeX"]["tiny"]
 
 
-def tiny_digests(tmp_path, method: str) -> dict[str, str]:
-    """SHA-256 of a tiny LOSO run's results.csv and of its first fold's outputs."""
-    # fold 0's best checkpoint is from the last epoch, and co-teaching drops a subject from epoch 1 on
+# n_timesteps and n_blocks per case: "tiny" stops after stage 2; "four_stage" is c03's backbone,
+# whose stages 3 and 4 each end in a 4/4 max pool
+CASES = {"tiny": (64, 2), "four_stage": (512, 4)}
+
+
+def run_digests(tmp_path, case: str, method: str) -> dict[str, str]:
+    """SHA-256 of a small LOSO run's results.csv and of its first fold's outputs."""
+    # tiny: fold 0's best checkpoint is from the last epoch, and co-teaching drops a subject from epoch 1 on
+    n_timesteps, n_blocks = CASES[case]
     gen = GeneratorConfig(n_subjects=4, n_imagery_classes=2, trials_per_class=8, n_electrodes=2,
-                          n_timesteps=64, snr=3.0, subject_shift_scale=0.3, noisy_subject_ids=(1,), seed=3)
-    model_config = ModelConfig(n_electrodes=2, n_timesteps=64, n_classes=3, width_base=2, n_blocks=2, seed=0)
+                          n_timesteps=n_timesteps, snr=3.0, subject_shift_scale=0.3, noisy_subject_ids=(1,), seed=3)
+    model_config = ModelConfig(n_electrodes=2, n_timesteps=n_timesteps, n_classes=3, width_base=2,
+                               n_blocks=n_blocks, seed=0)
     run = run_loso(generate_cohort(gen), method, model_config, CoteachConfig(t_max=3, b=2, t_k=1, tau=0.5),
                    gen, master_seed=7)
     fold = run.folds[0]
@@ -71,9 +112,7 @@ def tiny_digests(tmp_path, method: str) -> dict[str, str]:
             for name in ("results.csv", "checkpoint.bin", "selections.jsonl", "epochs.json")}
 
 
-@pytest.mark.parametrize("method", ["coteach", "baseline"])
-@pytest.mark.parametrize("mode", ["serial", "helper"])
-def test_outputs_match_goldens(tmp_path, monkeypatch, method, mode):
+def check_goldens(tmp_path, monkeypatch, case: str, method: str, mode: str) -> None:
     core = openblas_core()
     threads = set()
     if mode == "helper":
@@ -87,14 +126,26 @@ def test_outputs_match_goldens(tmp_path, monkeypatch, method, mode):
             return update(*args)
 
         monkeypatch.setattr(ctss.coteaching, "_masked_update", spy)
-    got = tiny_digests(tmp_path, method)
+    got = run_digests(tmp_path, case, method)
     if os.environ.get("CTSS_PRINT_GOLDENS"):
-        print(f"\n{core!r}: {method!r} ({mode}): {json.dumps(got, indent=4)}")
+        print(f"\n{core!r}: {case!r} {method!r} ({mode}): {json.dumps(got, indent=4)}")
     if core not in GOLDENS:
         pytest.skip(f"no parity goldens for OpenBLAS core {core!r}")
-    assert got == GOLDENS[core][method]
+    assert got == GOLDENS[core][case][method]
     if mode == "helper":  # the baseline has no network g, so it stays on one thread
         assert threads == ({"MainThread", "ctss-g_0"} if method == "coteach" else {"MainThread"})
+
+
+@pytest.mark.parametrize("method", ["coteach", "baseline"])
+@pytest.mark.parametrize("mode", ["serial", "helper"])
+def test_outputs_match_goldens(tmp_path, monkeypatch, method, mode):
+    check_goldens(tmp_path, monkeypatch, "tiny", method, mode)
+
+
+@pytest.mark.parametrize("method", ["coteach", "baseline"])
+@pytest.mark.parametrize("mode", ["serial", "helper"])
+def test_four_stage_outputs_match_goldens(tmp_path, monkeypatch, method, mode):
+    check_goldens(tmp_path, monkeypatch, "four_stage", method, mode)
 
 
 def cpu_flags() -> set[str]:
@@ -118,8 +169,9 @@ def test_outputs_match_goldens_on_the_forced_haswell_core():
     if core == "None":
         pytest.skip("numpy's BLAS is not an OpenBLAS whose core can be asked")
     assert core == "Haswell"
-    # all four cases above, serial and helper, in a process whose BLAS runs the Haswell kernels
+    # all eight cases above, serial and helper, in a process whose BLAS runs the Haswell kernels
     child = subprocess.run([sys.executable, "-m", "pytest", "-q", "-rs", "-p", "no:cacheprovider",
-                            f"{__file__}::test_outputs_match_goldens"],
+                            f"{__file__}::test_outputs_match_goldens",
+                            f"{__file__}::test_four_stage_outputs_match_goldens"],
                            env=env, capture_output=True, text=True, cwd=Path(__file__).parents[1])
-    assert child.returncode == 0 and "4 passed" in child.stdout and "skipped" not in child.stdout, child.stdout
+    assert child.returncode == 0 and "8 passed" in child.stdout and "skipped" not in child.stdout, child.stdout

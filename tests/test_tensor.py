@@ -253,7 +253,38 @@ class TestElu:
         np.testing.assert_array_equal(tape.grad(x).view(np.uint64), want_grad.view(np.uint64))
 
 
+def _maxpool1d_oracle(x, k, stride, g):
+    """(output, input gradient) by a strided window view and an np.add.at scatter, the bitwise reference."""
+    b, c, length = x.shape
+    n_out = (length - k) // stride + 1
+    sb, sc, sl = x.strides
+    windows = np.lib.stride_tricks.as_strided(x, shape=(b, c, n_out, k), strides=(sb, sc, sl * stride, sl),
+                                              writeable=False)
+    gx = np.zeros((b, c, length))
+    pos = np.arange(n_out)[None, None, :] * stride + windows.argmax(axis=3)
+    np.add.at(gx, (np.arange(b)[:, None, None], np.arange(c)[None, :, None], pos), g)
+    return windows.max(axis=3), gx
+
+
 class TestMaxPool1d:
+    # every (k, stride) whose windows overlap at most pairwise, so each input position sums at most
+    # two shares and the sum cannot depend on their order: the model's 4/4 and c03's 4/3 among them
+    @pytest.mark.parametrize("k, stride", [(k, s) for s in range(1, 5) for k in range(1, 2 * s + 1)])
+    def test_matches_the_strided_oracle_bitwise(self, k, stride):
+        rng = np.random.default_rng(10 * k + stride)
+        for shape in ((3, 4, 29), (2, 5, 2 * k + 3), (1, 2, k)):
+            # small integers, so most windows hold tied maxima; -0.0 and 0.0 among the upstream gradients
+            x = Tensor(rng.integers(-2, 3, size=shape).astype(np.float64))
+            tape = Tape()
+            out = maxpool1d(x, k, stride, tape=tape)
+            g = rng.normal(size=out.shape)
+            g[rng.random(out.shape) < 0.3] = -0.0
+            g[rng.random(out.shape) < 0.1] = 0.0
+            tape.backward(g, output=out)
+            want_out, want_gx = _maxpool1d_oracle(x.data, k, stride, g)
+            np.testing.assert_array_equal(out.data.view(np.uint64), want_out.view(np.uint64))
+            np.testing.assert_array_equal(tape.grad(x).view(np.uint64), want_gx.view(np.uint64))
+
     def test_single_window(self):
         out = maxpool1d(Tensor(np.array([[[1.0, 3.0, 2.0, 8.0]]])), 4, 4)
         np.testing.assert_array_equal(out.data, [[[8.0]]])
