@@ -144,7 +144,7 @@ class SubjectBatcher:
             while len(queue) < self.b:
                 queue.extend(self._rng.permutation(ds.n_trials).tolist())
             take, self._queues[i] = queue[:self.b], queue[self.b:]
-            chunks.append(ds.trials.data[take])
+            chunks.append(ds.trials[take])
             labels.append(ds.labels[take])
         return SubjectBatch(
             subject_ids=self.subject_ids,

@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import DataFormatError, NumericError, ValidationError
 from .seeding import derive_seed
-from .tensor import Tensor
 
 RAW_MAGIC = b"CTSS"
 RAW_VERSION = 1
@@ -33,16 +32,19 @@ _OFFSET_COMPONENTS = 2
 
 @dataclass
 class SubjectDataset:
-    """One subject's labeled trials plus the noisy-flag ground truth."""
+    """One subject's labeled trials, finite and float64, plus the noisy-flag ground truth."""
 
     subject_id: int
-    trials: Tensor  # [n_trials, E, T]
+    trials: np.ndarray  # float64 [n_trials, E, T]
     labels: np.ndarray  # int64 [n_trials]
     is_noisy: bool = False
 
     def __post_init__(self):
+        self.trials = np.ascontiguousarray(self.trials, dtype=np.float64)
         if self.trials.ndim != 3:
             raise ValidationError(f"trials must be [n, E, T], got shape {tuple(self.trials.shape)}")
+        if not np.isfinite(self.trials).all():
+            raise NumericError(f"non-finite trial values in subject {self.subject_id}")
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.labels.shape != (self.trials.shape[0],):
             raise ValidationError(
@@ -130,7 +132,7 @@ def generate_cohort(config: GeneratorConfig) -> list[SubjectDataset]:
         # one draw for all trials, in trial order: the same values as one draw per trial
         trials = rng.normal(0.0, sigma, size=shape)
         trials += offset if noisy else templates + offset  # templates: [classes, 1, E, T]
-        cohort.append(SubjectDataset(subject_id=sid, trials=Tensor(trials.reshape(-1, *shape[2:])),
+        cohort.append(SubjectDataset(subject_id=sid, trials=trials.reshape(-1, *shape[2:]),
                                      labels=labels.copy(), is_noisy=noisy))
     return cohort
 
@@ -161,10 +163,9 @@ def augment_rest_class(ds: SubjectDataset, config: GeneratorConfig) -> SubjectDa
     rng = np.random.default_rng(np.random.PCG64(derive_seed(config.seed, "rest", ds.subject_id)))
     n = ds.n_trials
     rest = offset[None, :, :] + rng.normal(0.0, sigma, size=(n,) + offset.shape)
-    trials = np.concatenate([ds.trials.data, rest], axis=0)
+    trials = np.concatenate([ds.trials, rest], axis=0)
     labels = np.concatenate([ds.labels, np.full(n, rest_label, dtype=np.int64)])
-    return SubjectDataset(subject_id=ds.subject_id, trials=Tensor(trials), labels=labels,
-                          is_noisy=ds.is_noisy)
+    return SubjectDataset(subject_id=ds.subject_id, trials=trials, labels=labels, is_noisy=ds.is_noisy)
 
 
 def loso_split(cohort: list[SubjectDataset], target_subject_id: int) -> tuple[list[SubjectDataset], SubjectDataset]:
@@ -207,8 +208,8 @@ def train_val_split(source: list[SubjectDataset], ratio: float, seed: int
 
 
 def _subset(ds: SubjectDataset, idx: np.ndarray) -> SubjectDataset:
-    return SubjectDataset(subject_id=ds.subject_id, trials=Tensor(ds.trials.data[idx]),
-                          labels=ds.labels[idx], is_noisy=ds.is_noisy)
+    return SubjectDataset(subject_id=ds.subject_id, trials=ds.trials[idx], labels=ds.labels[idx],
+                          is_noisy=ds.is_noisy)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +229,7 @@ def save_raw(cohort: list[SubjectDataset], path) -> None:
                 raise ValidationError(f"subject {ds.subject_id}: labels exceed u16 range")
             block = struct.pack("<IBIII", ds.subject_id, int(ds.is_noisy), n, e, t)
             block += ds.labels.astype("<u2").tobytes()
-            block += np.ascontiguousarray(ds.trials.data, dtype="<f8").tobytes()
+            block += np.ascontiguousarray(ds.trials, dtype="<f8").tobytes()
             fh.write(block)
             fh.write(struct.pack("<I", zlib.crc32(block) & 0xFFFFFFFF))
 
@@ -265,7 +266,7 @@ def load_raw(path) -> list[SubjectDataset]:
         cursor += 2 * n
         data = np.frombuffer(view, dtype="<f8", count=n * e * t, offset=cursor)
         try:
-            cohort.append(SubjectDataset(subject_id=sid, trials=Tensor(data.reshape(n, e, t).copy()),
+            cohort.append(SubjectDataset(subject_id=sid, trials=data.reshape(n, e, t).copy(),
                                          labels=labels, is_noisy=bool(noisy)))
         except (ValidationError, NumericError) as exc:  # no trials, or a NaN or inf among them
             raise DataFormatError(f"{path}: bad subject {sid} block ({exc})") from None
@@ -282,6 +283,6 @@ def cohorts_equal(a: list[SubjectDataset], b: list[SubjectDataset]) -> bool:
     for x, y in zip(a, b):
         if (x.subject_id != y.subject_id or x.is_noisy != y.is_noisy
                 or not np.array_equal(x.labels, y.labels)
-                or not np.array_equal(x.trials.data, y.trials.data)):
+                or not np.array_equal(x.trials, y.trials)):
             return False
     return True

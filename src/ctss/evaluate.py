@@ -228,7 +228,8 @@ def write_summary_json(run: LosoRun, path) -> None:
 
 def check_out_dir(out_dir: Path, subject_ids) -> None:
     """Refuse an output path under a file, a directory holding anything but a run, or another cohort's run."""
-    existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    # a dangling link exists too: mkdir cannot create a directory in its place
+    existing = next(p for p in (out_dir, *out_dir.parents) if p.exists() or p.is_symlink())
     if not existing.is_dir():
         raise DataFormatError(f"output path {out_dir}: {existing} exists and is not a directory")
     if existing != out_dir or not any(out_dir.iterdir()):

@@ -39,13 +39,12 @@ def balanced_accuracy(cm: np.ndarray) -> float:
     return float(recalls.mean())
 
 
-def predict_classes(model: Model, trials: Tensor) -> np.ndarray:
-    """Argmax class per trial, evaluated without gradient tracking."""
+def predict_classes(model: Model, trials: np.ndarray) -> np.ndarray:
+    """Argmax class per trial of the [n, E, T] array ``trials``, evaluated without gradient tracking."""
     n = trials.shape[0]
     out = np.empty(n, dtype=np.int64)
     for start in range(0, n, _PREDICT_CHUNK):
-        block = Tensor(trials.data[start:start + _PREDICT_CHUNK], check_finite=False)
-        logits = model.forward(block, tape=None)
+        logits = model.forward(Tensor(trials[start:start + _PREDICT_CHUNK], check_finite=False), tape=None)
         out[start:start + _PREDICT_CHUNK] = np.argmax(logits.data, axis=1)
     return out
 
@@ -55,7 +54,7 @@ def evaluate_balanced_accuracy(model: Model, datasets, n_classes: int) -> float:
     ds_list = datasets if isinstance(datasets, list) else [datasets]
     if not ds_list:
         raise ValidationError("evaluation requires at least one dataset")
-    trials = Tensor(np.concatenate([ds.trials.data for ds in ds_list]), check_finite=False)
+    trials = np.concatenate([ds.trials for ds in ds_list])
     labels = np.concatenate([ds.labels for ds in ds_list])
     preds = predict_classes(model, trials)
     return balanced_accuracy(confusion_matrix(labels, preds, n_classes))

@@ -75,12 +75,12 @@ class Tape:
     only gradients of tensors that are not recorded outputs (inputs and
     parameters) can be read through :meth:`grad`.
 
-    ``backward(..., wrt=tensors)`` limits the work to the gradients the
-    caller reads, like the ``inputs=`` argument of torch's backward: a leaf
-    tensor outside ``wrt`` gets no gradient. A closure may ask
-    :meth:`wants` with an input's key and skip the arithmetic for an input
-    nobody reads; conv1d does, so a model's first conv builds no gradient for
-    the data batch.
+    Which gradients are built: without ``wrt``, every one on the path to the
+    seeded output; with ``backward(..., wrt=tensors)``, like the ``inputs=``
+    argument of torch's backward, only those of the tensors in ``wrt`` and
+    of the recorded outputs. A closure may ask :meth:`wants` with an input's
+    key and skip the arithmetic for a gradient that is not built; conv1d
+    does, so a model's first conv builds no gradient for the data batch.
 
     Gradients are read-only. They are stored without copying and summed out
     of place, so one array may serve as the gradient of several tensors
@@ -89,26 +89,20 @@ class Tape:
     """
 
     def __init__(self):
-        # (output key, output shape, closure); a closure maps the output's gradient to (key, gradient) pairs
-        self._entries: list[tuple[object, tuple[int, ...],
-                                  Callable[[np.ndarray], Iterable[tuple[object, np.ndarray]]]]] = []
+        # (output key, closure); a closure maps the output's gradient to (key, gradient) pairs
+        self._entries: list[tuple[object, Callable[[np.ndarray], Iterable[tuple[object, np.ndarray]]]]] = []
         self._grads: dict[object, np.ndarray] = {}
         self._finished = False
-        self._wrt: Optional[frozenset[object]] = None
-        self._pending: set[object] = set()
+        self._wanted: Optional[frozenset[object]] = None  # None: every gradient
 
     def record(self, out: Tensor, backward_fn) -> None:
         if self._finished:
             raise StateError("tape already consumed by backward; use a fresh tape")
-        self._entries.append((out.key, out.shape, backward_fn))
+        self._entries.append((out.key, backward_fn))
 
     def wants(self, key) -> bool:
-        """Whether the running backward needs a gradient for the tensor whose key is ``key``.
-
-        Always true without ``wrt``; with it, true for the tensors in ``wrt``
-        and for the outputs of entries not yet replayed.
-        """
-        return self._wrt is None or key in self._wrt or key in self._pending
+        """Whether the running backward builds a gradient for the tensor whose key is ``key``."""
+        return self._wanted is None or key in self._wanted
 
     def _accumulate(self, key, g: np.ndarray) -> None:
         if not self.wants(key):
@@ -117,31 +111,27 @@ class Tape:
         # never in place: ``g`` may also be another tensor's gradient
         self._grads[key] = g if buf is None else buf + g
 
-    def backward(self, output_grad, output: Optional[Tensor] = None,
-                 wrt: Optional[Iterable[Tensor]] = None) -> None:
-        """Replay recorded primitives in reverse, seeding ``output`` with ``output_grad``.
+    def backward(self, output_grad, output: Tensor, wrt: Optional[Iterable[Tensor]] = None) -> None:
+        """Replay recorded primitives in reverse, seeding ``output`` with the array ``output_grad``.
 
-        ``output`` defaults to the most recently recorded result. When
-        ``wrt`` is given, leaf tensors outside it receive no gradient.
+        When ``wrt`` is given, leaf tensors outside it receive no gradient.
         """
         if self._finished:
             raise StateError("backward already ran on this tape")
         if not self._entries:
             raise StateError("backward called on a tape with no recorded forward pass")
-        out_key, out_shape = self._entries[-1][:2] if output is None else (output.key, output.shape)
-        seed = np.asarray(output_grad.data if isinstance(output_grad, Tensor) else output_grad, dtype=np.float64)
-        if seed.shape != out_shape:
+        seed = np.asarray(output_grad, dtype=np.float64)
+        if seed.shape != output.shape:
             raise DimensionError(
-                f"output grad shape {seed.shape} does not match output shape {out_shape}"
+                f"output grad shape {seed.shape} does not match output shape {output.shape}"
             )
         self._finished = True
         if wrt is not None:
-            self._wrt = frozenset(t.key for t in wrt)
-            self._pending = {key for key, _, _ in self._entries}
-        self._accumulate(out_key, seed)
+            # an entry's inputs are recorded before it, so no closure names an output already replayed
+            self._wanted = frozenset(t.key for t in wrt).union(key for key, _ in self._entries)
+        self._accumulate(output.key, seed)
         while self._entries:
-            key, _, fn = self._entries.pop()
-            self._pending.discard(key)
+            key, fn = self._entries.pop()
             g = self._grads.pop(key, None)
             if g is None:
                 continue  # branch not on the path to the seeded output
@@ -243,8 +233,6 @@ def conv1d(
     if k > padded_len:
         raise DimensionError(f"conv1d kernel size {k} exceeds padded input length {padded_len}")
     n_out = conv_output_length(length, k, stride, padding)
-    if n_out < 1:
-        raise DimensionError(f"conv1d output length {n_out} < 1 for L={length}, K={k}, s={stride}, p={padding}")
 
     cols = conv_windows(x, k, stride, padding) if windows is None else windows
     if cols.shape != (c * k, b * n_out):

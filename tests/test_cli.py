@@ -248,7 +248,7 @@ class TestRun:
     def test_cohort_file_fault_exits_4_before_training(self, toy_config, tmp_path, capsys, monkeypatch, fault):
         cohort = generate_cohort(load_config(toy_config).generator)
         if fault == "non-finite":
-            cohort[0].trials.data[3, 1, 7] = np.nan
+            cohort[0].trials[3, 1, 7] = np.nan
         if fault == "repeated-id":
             cohort[1].subject_id = 0
         cohort_path = tmp_path / "cohort.ctss"
@@ -296,18 +296,29 @@ class TestRun:
         assert "absent.ctss" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("below", ["", "run"])
+    @pytest.mark.parametrize("dangling, below", [
+        pytest.param(False, "", id=""),
+        pytest.param(False, "run", id="run"),
+        pytest.param(True, "", id="dangling-link"),
+        pytest.param(True, "run", id="dangling-link-run"),
+    ])
     def test_out_at_or_under_a_file_exits_4_before_training(self, toy_config, tmp_path, capsys, monkeypatch,
-                                                           below):
+                                                           dangling, below):
         file = tmp_path / "cohort.ctss"
-        file.write_bytes(b"not a directory")
+        if dangling:  # a link to a path that does not exist
+            file.symlink_to(tmp_path / "nowhere" / "target")
+        else:
+            file.write_bytes(b"not a directory")
         out = file / below if below else file
         folds = spy_folds(monkeypatch)
         assert main(["run", "--config", str(toy_config), "--out", str(out)]) == 4
         err = capsys.readouterr().err
         assert str(file) in err and len(err.strip().splitlines()) == 1
         assert folds == []
-        assert file.read_bytes() == b"not a directory"
+        if dangling:
+            assert file.is_symlink() and not (tmp_path / "nowhere").exists()
+        else:
+            assert file.read_bytes() == b"not a directory"
 
     def test_out_with_another_cohorts_fold_exits_2_before_training(self, toy_config, tmp_path, capsys,
                                                                    monkeypatch):
@@ -368,11 +379,19 @@ class TestRun:
         assert "baseline" in capsys.readouterr().out
 
     def test_parallel_folds_flag_matches_sequential(self, toy_config, tmp_path):
-        seq, par = tmp_path / "seq", tmp_path / "par"
-        assert main(["run", "--config", str(toy_config), "--out", str(seq)]) == 0
-        assert main(["run", "--config", str(toy_config), "--out", str(par),
-                     "--parallel-folds", "2"]) == 0
-        assert (seq / "results.csv").read_bytes() == (par / "results.csv").read_bytes()
+        # also on four stages, whose stages 3 and 4 each end in a 4/4 max pool
+        deep = tmp_path / "deep.ini"
+        deep.write_text(TOY_CONFIG.replace("n_timesteps = 32", "n_timesteps = 512")
+                        .replace("n_blocks = 1", "n_blocks = 4"))
+        for config in (toy_config, deep):
+            seq, par = tmp_path / config.stem / "seq", tmp_path / config.stem / "par"
+            assert main(["run", "--config", str(config), "--out", str(seq)]) == 0
+            assert main(["run", "--config", str(config), "--out", str(par), "--parallel-folds", "2"]) == 0
+            written = sorted(p.relative_to(seq) for p in seq.rglob("*") if p.is_file())
+            assert written == sorted(p.relative_to(par) for p in par.rglob("*") if p.is_file())
+            for name in written:
+                if name.name != "manifest.json":  # which holds the wall time
+                    assert (seq / name).read_bytes() == (par / name).read_bytes(), name
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_parallel_folds_below_1_exits_2_before_training(self, toy_config, tmp_path, capsys, monkeypatch,

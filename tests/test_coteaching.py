@@ -66,7 +66,7 @@ class TestSubjectBatcher:
         for _ in range(ds.n_trials // 8):
             batch = batcher.next_batch()
             seen.extend(batch.trials.data[i].tobytes() for i in range(8))
-        expected = sorted(ds.trials.data[i].tobytes() for i in range(ds.n_trials))
+        expected = sorted(ds.trials[i].tobytes() for i in range(ds.n_trials))
         assert sorted(seen) == expected
 
     def test_cyclic_refill_when_exhausted(self):

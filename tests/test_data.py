@@ -20,9 +20,8 @@ from ctss.data import (
     subject_offset,
     train_val_split,
 )
-from ctss.errors import DataFormatError, ValidationError
+from ctss.errors import DataFormatError, NumericError, ValidationError
 from ctss.seeding import derive_seed
-from ctss.tensor import Tensor
 
 
 def toy_config(**overrides):
@@ -40,6 +39,25 @@ def add_empty_subject(path, subject_id: int) -> None:
     block = struct.pack("<IBIII", subject_id, 0, 0, 2, 32)
     path.write_bytes(blob[:6] + struct.pack("<I", count + 1) + block
                      + struct.pack("<I", zlib.crc32(block)) + blob[10:])
+
+
+class TestSubjectDataset:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    def test_non_finite_trial_raises_naming_the_subject(self, bad):
+        trials = np.zeros((2, 3, 4))
+        trials[1, 2, 3] = bad
+        with pytest.raises(NumericError, match=r"^non-finite .*subject 7"):
+            SubjectDataset(subject_id=7, trials=trials, labels=[0, 1])
+
+    @pytest.mark.parametrize("trials", [
+        np.arange(24).reshape(2, 3, 4),
+        np.arange(24).reshape(2, 3, 4).tolist(),
+        np.arange(48.0).reshape(2, 3, 8)[:, :, ::2],
+    ], ids=["int-array", "nested-list", "strided-view"])
+    def test_trials_become_contiguous_float64(self, trials):
+        ds = SubjectDataset(subject_id=0, trials=trials, labels=[0, 1])
+        assert ds.trials.dtype == np.float64 and ds.trials.flags.c_contiguous
+        np.testing.assert_array_equal(ds.trials, np.asarray(trials, dtype=np.float64))
 
 
 class TestGenerateCohort:
@@ -68,7 +86,7 @@ class TestGenerateCohort:
     def test_infinite_snr_limit_trials_identical(self):
         cfg = toy_config(snr=1e12)
         ds = generate_cohort(cfg)[0]
-        first_class = ds.trials.data[ds.labels == 0]
+        first_class = ds.trials[ds.labels == 0]
         np.testing.assert_allclose(first_class[0], first_class[1], atol=1e-10)
 
     def test_noisy_subject_trials_match_rest_distribution(self):
@@ -78,16 +96,16 @@ class TestGenerateCohort:
         cohort = generate_cohort(cfg)
         noisy = cohort[3]
         augmented = augment_rest_class(noisy, cfg)
-        imagery = augmented.trials.data[augmented.labels < 2].mean(axis=(1, 2))
-        rest = augmented.trials.data[augmented.labels == 2].mean(axis=(1, 2))
+        imagery = augmented.trials[augmented.labels < 2].mean(axis=(1, 2))
+        rest = augmented.trials[augmented.labels == 2].mean(axis=(1, 2))
         _, p = stats.ttest_ind(imagery, rest, equal_var=False)
         assert p > 0.01
 
     def test_clean_class_means_separate_from_noise_floor(self):
         cfg = toy_config(trials_per_class=30)
         ds = generate_cohort(cfg)[0]
-        mean0 = ds.trials.data[ds.labels == 0].mean(axis=0)
-        mean1 = ds.trials.data[ds.labels == 1].mean(axis=0)
+        mean0 = ds.trials[ds.labels == 0].mean(axis=0)
+        mean1 = ds.trials[ds.labels == 1].mean(axis=0)
         distance = np.linalg.norm(mean0 - mean1)
         sigma = 1.0 / cfg.snr
         noise_floor = sigma * np.sqrt(mean0.size / 30)
@@ -99,7 +117,7 @@ class TestGenerateCohort:
         np.testing.assert_array_equal(noisy[2].labels, clean[2].labels)
         # the same offset and noise, with no class template added
         templates = np.stack([class_template(toy_config(), c) for c in range(2)])
-        np.testing.assert_allclose(clean[2].trials.data - noisy[2].trials.data, templates[clean[2].labels],
+        np.testing.assert_allclose(clean[2].trials - noisy[2].trials, templates[clean[2].labels],
                                    atol=1e-12)
         # every other subject draws from its own streams, so it is unchanged
         assert cohorts_equal(noisy[:2] + noisy[3:], clean[:2] + clean[3:])
@@ -115,7 +133,7 @@ class TestGenerateCohort:
                 for _ in range(cfg.trials_per_class):
                     noise = rng.normal(0.0, 1.0 / cfg.snr, size=offset.shape)
                     want.append(offset + noise if ds.is_noisy else class_template(cfg, c) + offset + noise)
-            np.testing.assert_array_equal(ds.trials.data.view(np.uint64), np.stack(want).view(np.uint64))
+            np.testing.assert_array_equal(ds.trials.view(np.uint64), np.stack(want).view(np.uint64))
             np.testing.assert_array_equal(ds.labels, np.repeat(np.arange(3), 5))
 
     def test_degenerate_configs_rejected(self):
@@ -150,7 +168,7 @@ class TestAugmentRestClass:
         cfg = toy_config()
         ds = generate_cohort(cfg)[1]
         out = augment_rest_class(ds, cfg)
-        np.testing.assert_array_equal(out.trials.data[:ds.n_trials], ds.trials.data)
+        np.testing.assert_array_equal(out.trials[:ds.n_trials], ds.trials)
         np.testing.assert_array_equal(out.labels[:ds.n_trials], ds.labels)
         assert np.all(out.labels[ds.n_trials:] == cfg.n_imagery_classes)
 
@@ -179,7 +197,7 @@ class TestAugmentRestClass:
         ds = generate_cohort(cfg)[2]
         a = augment_rest_class(ds, cfg)
         b = augment_rest_class(ds, cfg)
-        np.testing.assert_array_equal(a.trials.data, b.trials.data)
+        np.testing.assert_array_equal(a.trials, b.trials)
 
 
 class TestLosoSplit:
@@ -241,15 +259,14 @@ class TestTrainValSplit:
         train, val = train_val_split(cohort, 0.7, seed=3)
         for full, tr, va in zip(cohort, train, val):
             assert tr.n_trials + va.n_trials == full.n_trials
-            merged = np.concatenate([tr.trials.data, va.trials.data])
-            assert merged.shape == full.trials.data.shape
-            full_rows = {full.trials.data[i].tobytes() for i in range(full.n_trials)}
+            merged = np.concatenate([tr.trials, va.trials])
+            assert merged.shape == full.trials.shape
+            full_rows = {full.trials[i].tobytes() for i in range(full.n_trials)}
             merged_rows = {merged[i].tobytes() for i in range(merged.shape[0])}
             assert full_rows == merged_rows
 
     def test_class_with_single_trial_rejected(self):
-        ds = SubjectDataset(subject_id=0, trials=Tensor(np.zeros((3, 2, 4))),
-                            labels=np.array([0, 0, 1]))
+        ds = SubjectDataset(subject_id=0, trials=np.zeros((3, 2, 4)), labels=np.array([0, 0, 1]))
         with pytest.raises(ValidationError):
             train_val_split([ds], 0.9, seed=0)
 
@@ -302,7 +319,7 @@ class TestRawFiles:
 
     def test_non_finite_trial_refused(self, tmp_path):
         cohort = generate_cohort(toy_config())
-        cohort[2].trials.data[1, 0, 5] = np.nan
+        cohort[2].trials[1, 0, 5] = np.nan
         path = tmp_path / "cohort.ctss"
         save_raw(cohort, path)
         with pytest.raises(DataFormatError, match=r"cohort\.ctss: bad subject 2 block \(non-finite"):

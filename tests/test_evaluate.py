@@ -131,7 +131,7 @@ class TestTrainBaseline:
         from ctss.models import build_mini_resnet1d, per_sample_losses
         from ctss.tensor import Tensor
 
-        probe = Tensor(np.concatenate([ds.trials.data for ds in train]))
+        probe = Tensor(np.concatenate([ds.trials for ds in train]))
         probe_labels = np.concatenate([ds.labels for ds in train])
         result = train_baseline(train, val, toy_model_config(), cc)
         trained_losses = per_sample_losses(result.checkpoint.model, probe, probe_labels)

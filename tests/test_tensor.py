@@ -447,7 +447,7 @@ class TestSoftmaxCrossEntropy:
 class TestTape:
     def test_backward_without_forward(self):
         with pytest.raises(StateError):
-            Tape().backward(np.ones(1))
+            Tape().backward(np.ones(1), output=Tensor(np.ones(1)))
 
     def test_double_backward_rejected(self):
         x = Tensor(np.ones((2, 2)))
