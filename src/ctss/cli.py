@@ -125,7 +125,7 @@ def _check_summary(summary, path) -> None:
             fail(f"{key!r} must be a number")
     folds = summary.get("folds")
     if not isinstance(folds, list) or not all(
-            isinstance(f, dict) and isinstance(f.get("target_subject"), int) and _is_number(f.get("balanced_accuracy"))
+            isinstance(f, dict) and type(f.get("target_subject")) is int and _is_number(f.get("balanced_accuracy"))
             for f in folds):
         fail("'folds' must be a list of objects with an integer 'target_subject' and a numeric 'balanced_accuracy'")
     freqs = summary.get("selection_frequencies") or {}

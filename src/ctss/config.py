@@ -1,15 +1,16 @@
 """Experiment configuration: an INI document with generator/model/coteach/run sections.
 
-Every key has a default, so an empty file (or no overrides) runs the standard
-recipe: tau=0.2, t_k=10, subject-wise batch size 8, Adam at lr 0.01 with
-single-cycle cosine annealing to 0. Model input dimensions and class count
-derive from the generator section (classes = imagery classes + 1 for rest).
+A section's keys are its dataclass's fields, each read as the type of its
+default, so an empty file (or no overrides) runs the standard recipe: tau=0.2,
+t_k=10, subject-wise batch size 8, Adam at lr 0.01 with single-cycle cosine
+annealing to 0. Model input dimensions and class count derive from the
+generator section (classes = imagery classes + 1 for rest).
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 
 from .coteaching import METHODS, CoteachConfig
 from .data import GeneratorConfig
@@ -18,7 +19,14 @@ from .models import ModelConfig
 
 
 @dataclass(frozen=True)
+class BackboneConfig:  # [model]: width and depth; the generator section sets the input and output sizes
+    width_base: int = 8
+    n_blocks: int = 1
+
+
+@dataclass(frozen=True)
 class RunConfig:
+    # not where to write or how many workers: those change no result, so only the command line sets them
     method: str = "coteach"
     master_seed: int = 1
     val_ratio: float = 0.9
@@ -34,62 +42,46 @@ class RunConfig:
 @dataclass(frozen=True)
 class ExperimentConfig:
     generator: GeneratorConfig = field(default_factory=GeneratorConfig)
-    model_width_base: int = 8
-    model_n_blocks: int = 1
+    model: BackboneConfig = field(default_factory=BackboneConfig)
     coteach: CoteachConfig = field(default_factory=CoteachConfig)
     run: RunConfig = field(default_factory=RunConfig)
 
     def model_config(self) -> ModelConfig:
         """The network's shape; each network's init seed is set when training builds it."""
-        return ModelConfig(
-            n_electrodes=self.generator.n_electrodes,
-            n_timesteps=self.generator.n_timesteps,
-            n_classes=self.generator.n_imagery_classes + 1,
-            width_base=self.model_width_base,
-            n_blocks=self.model_n_blocks,
-        )
+        return ModelConfig(n_electrodes=self.generator.n_electrodes, n_timesteps=self.generator.n_timesteps,
+                           n_classes=self.generator.n_imagery_classes + 1, **asdict(self.model))
 
     def to_dict(self) -> dict:
         """Every INI key, section by section, with the value it has here."""
-        sections = {
-            "generator": asdict(self.generator),
-            "model": {"width_base": self.model_width_base, "n_blocks": self.model_n_blocks},
-            "coteach": asdict(self.coteach),
-            "run": asdict(self.run),
-        }
-        return {name: {key: sections[name][key] for key in keys} for name, keys in _PARSERS.items()}
+        echo = {}
+        for section, keys in _KEYS.items():
+            values = getattr(self, section)
+            echo[section] = {key: getattr(values, key) for key in keys}
+        return echo
 
 
-_PARSERS = {
-    "generator": {
-        "n_subjects": int, "n_imagery_classes": int, "trials_per_class": int,
-        "n_electrodes": int, "n_timesteps": int, "snr": float,
-        "subject_shift_scale": float, "noisy_subject_ids": "int_list", "seed": int,
-    },
-    "model": {"width_base": int, "n_blocks": int},
-    # not CoteachConfig's optimizer and seed: sgd is for single-step checks, and run_fold seeds each fold
-    "coteach": {"tau": float, "t_k": int, "t_max": int, "b": int, "lr": float},
-    # not where to write or how many workers: those change no result, so only the command line sets them
-    "run": {"method": str, "master_seed": int, "val_ratio": float, "cohort_file": str},
-}
+_DEFAULTS = ExperimentConfig()
+# not CoteachConfig's optimizer and seed: sgd is for single-step checks, and run_fold seeds each fold
+_NOT_IN_INI = {"coteach.optimizer", "coteach.seed"}
+# each section's INI keys: the fields of its dataclass, in declaration order
+_KEYS = {section.name: [key.name for key in fields(section.default_factory)
+                        if f"{section.name}.{key.name}" not in _NOT_IN_INI]
+         for section in fields(ExperimentConfig)}
 
 
 def _parse_section(parser: configparser.ConfigParser, section: str) -> dict:
-    spec = _PARSERS[section]
-    if not parser.has_section(section):
-        return {}
     values = {}
     for key, raw in parser.items(section):
-        if key not in spec:
+        if key not in _KEYS[section]:
             raise ValidationError(f"unknown config key {section}.{key}")
-        kind = spec[key]
+        default = getattr(getattr(_DEFAULTS, section), key)
         try:
-            if kind == "int_list":
+            if isinstance(default, tuple):  # noisy_subject_ids: ints separated by commas or spaces
                 values[key] = tuple(int(tok) for tok in raw.replace(",", " ").split())
-            elif kind is str:
+            elif isinstance(default, str):
                 values[key] = raw.strip()
             else:
-                values[key] = kind(raw)
+                values[key] = type(default)(raw)
         except ValueError:
             raise ValidationError(f"config key {section}.{key} has invalid value {raw!r}") from None
     return values
@@ -102,25 +94,15 @@ def load_config(path) -> ExperimentConfig:
         if not parser.read(path, encoding="utf-8"):
             raise ValidationError(f"config file not found: {path}")
         for section in parser.sections():
-            if section not in _PARSERS:
+            if section not in _KEYS:
                 raise ValidationError(f"unknown config section [{section}]")
-        gen_kwargs = _parse_section(parser, "generator")
-        model_kwargs = _parse_section(parser, "model")
-        coteach_kwargs = _parse_section(parser, "coteach")
-        run_kwargs = _parse_section(parser, "run")
+        overrides = {section: _parse_section(parser, section) for section in _KEYS if parser.has_section(section)}
     except (configparser.Error, UnicodeDecodeError) as exc:
         detail = " ".join(str(exc).split())  # some configparser messages span lines
         raise ValidationError(f"malformed config file {path}: {detail}") from None
 
-    try:
-        generator = GeneratorConfig(**gen_kwargs)
-        coteach = CoteachConfig(**coteach_kwargs)
-        run = RunConfig(**run_kwargs)
-        model = {f"model_{key}": value for key, value in model_kwargs.items()}
-        cfg = ExperimentConfig(generator=generator, coteach=coteach, run=run, **model)
-        cfg.model_config()  # validates derived model dimensions eagerly
-    except ValidationError:
-        raise
-    except TypeError as exc:
-        raise ValidationError(f"invalid config: {exc}") from None
+    # replace() runs each section's own validation, in section order
+    cfg = ExperimentConfig(**{section: replace(getattr(_DEFAULTS, section), **overrides.get(section, {}))
+                              for section in _KEYS})
+    cfg.model_config()  # validates derived model dimensions eagerly
     return cfg

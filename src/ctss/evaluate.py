@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import logging
 import re
 import shutil
 from concurrent.futures import ProcessPoolExecutor
@@ -33,6 +34,8 @@ from .errors import DataFormatError, ValidationError
 from .metrics import evaluate_balanced_accuracy
 from .models import ModelConfig, save_checkpoint
 from .seeding import derive_seed
+
+log = logging.getLogger(__name__)
 
 
 def train_baseline(train, val, model_config: ModelConfig, config: CoteachConfig,
@@ -69,16 +72,12 @@ class RunSummary:
     config_echo: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "master_seed": self.master_seed,
-            "n_folds": len(self.folds),
-            "mean_balanced_accuracy": self.mean_balanced_accuracy,
-            "std_balanced_accuracy": self.std_balanced_accuracy,
-            "folds": [asdict(f) for f in self.folds],
-            "selection_frequencies": {str(k): v for k, v in sorted(self.selection_frequencies.items())},
-            "config": self.config_echo,
-        }
+        """The fields, with ``config_echo`` as ``config``, ``n_folds`` added and subject ids as strings."""
+        out = asdict(self)
+        out["config"] = out.pop("config_echo")
+        out["n_folds"] = len(self.folds)
+        out["selection_frequencies"] = {str(k): v for k, v in sorted(self.selection_frequencies.items())}
+        return out
 
 
 @dataclass
@@ -114,6 +113,14 @@ def _fold_task(args) -> FoldOutput:
     return run_fold(*args)
 
 
+def _logged(outputs, n_folds: int):
+    """Each fold's output as it arrives, logged at INFO."""
+    for k, out in enumerate(outputs, 1):
+        log.info("fold %d/%d: subject %d, %s, balanced accuracy %.4f, best epoch %d", k, n_folds,
+                 out.record.target_subject, out.record.method, out.record.balanced_accuracy, out.record.best_epoch)
+        yield out
+
+
 def run_loso(cohort, method: str, model_config: ModelConfig, train_config: CoteachConfig,
              generator_config: GeneratorConfig, master_seed: int, val_ratio: float = 0.9,
              parallel_folds: int = 1, config_echo: dict | None = None) -> LosoRun:
@@ -128,9 +135,9 @@ def run_loso(cohort, method: str, model_config: ModelConfig, train_config: Cotea
     if parallel_folds > 1:
         # the fork start method launches every worker up front, so never more than folds
         with ProcessPoolExecutor(max_workers=min(parallel_folds, len(tasks))) as pool:
-            outputs = list(pool.map(_fold_task, tasks))
+            outputs = list(_logged(pool.map(_fold_task, tasks), len(tasks)))
     else:
-        outputs = [run_fold(*task) for task in tasks]
+        outputs = list(_logged((run_fold(*task) for task in tasks), len(tasks)))
 
     accs = np.array([o.record.balanced_accuracy for o in outputs])
     freqs: dict[int, float] = {}

@@ -6,15 +6,18 @@ stage holds two residual blocks of two k=3 convolutions, downsampling by 2
 in its first block, and stages 3 and 4 end with a 4/4 max pool. The head is
 ELU, adaptive average pool to length 1, and a fully-connected layer.
 
-Parameters initialize uniformly in +-sqrt(1/fan_in), drawn in declaration
-order from one seeded generator, so a config seed pins every weight.
+The builder is the one description of the network. It takes each parameter, in
+declaration order, from a ``draw``: training's is uniform in +-sqrt(1/fan_in)
+from one seeded generator, and a checkpoint's is the file's next tensor.
 """
 
 from __future__ import annotations
 
 import copy
 import json
+import math
 import struct
+from collections.abc import Callable
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -32,8 +35,8 @@ class ModelConfig:
     n_electrodes: int
     n_timesteps: int
     n_classes: int
-    width_base: int = 32
-    n_blocks: int = 4
+    width_base: int
+    n_blocks: int
     seed: int = 0
 
     def __post_init__(self):
@@ -46,17 +49,15 @@ class ModelConfig:
             raise ValidationError(f"model.seed must be a 64-bit unsigned int, got {self.seed}")
 
 
-def _uniform_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> Tensor:
-    bound = float(np.sqrt(1.0 / fan_in))
-    return Tensor(rng.uniform(-bound, bound, size=shape), check_finite=False)
+Draw = Callable[[tuple[int, ...], int], np.ndarray]  # (shape, fan_in) -> one parameter's values
 
 
 class Conv1d:
     def __init__(self, in_channels: int, out_channels: int, kernel: int, stride: int,
-                 padding: int, rng: np.random.Generator):
+                 padding: int, draw: Draw):
         fan_in = in_channels * kernel
-        self.weight = _uniform_init(rng, (out_channels, in_channels, kernel), fan_in)
-        self.bias = _uniform_init(rng, (out_channels,), fan_in)
+        self.weight = Tensor(draw((out_channels, in_channels, kernel), fan_in), check_finite=False)
+        self.bias = Tensor(draw((out_channels,), fan_in), check_finite=False)
         self.stride = stride
         self.padding = padding
 
@@ -72,9 +73,9 @@ class Conv1d:
 
 
 class Linear:
-    def __init__(self, in_features: int, out_features: int, rng: np.random.Generator):
-        self.weight = _uniform_init(rng, (out_features, in_features), in_features)
-        self.bias = _uniform_init(rng, (out_features,), in_features)
+    def __init__(self, in_features: int, out_features: int, draw: Draw):
+        self.weight = Tensor(draw((out_features, in_features), in_features), check_finite=False)
+        self.bias = Tensor(draw((out_features,), in_features), check_finite=False)
 
     def forward(self, x: Tensor, tape: Tape | None) -> Tensor:
         return T.linear(x, self.weight, self.bias, tape=tape)
@@ -86,11 +87,11 @@ class Linear:
 class ResidualBlock:
     """conv(k=3, stride s) -> ELU -> conv(k=3) plus identity or 1x1 strided shortcut."""
 
-    def __init__(self, in_channels: int, out_channels: int, stride: int, rng: np.random.Generator):
-        self.conv1 = Conv1d(in_channels, out_channels, 3, stride, 1, rng)
-        self.conv2 = Conv1d(out_channels, out_channels, 3, 1, 1, rng)
+    def __init__(self, in_channels: int, out_channels: int, stride: int, draw: Draw):
+        self.conv1 = Conv1d(in_channels, out_channels, 3, stride, 1, draw)
+        self.conv2 = Conv1d(out_channels, out_channels, 3, 1, 1, draw)
         if stride != 1 or in_channels != out_channels:
-            self.shortcut: Conv1d | None = Conv1d(in_channels, out_channels, 1, stride, 0, rng)
+            self.shortcut: Conv1d | None = Conv1d(in_channels, out_channels, 1, stride, 0, draw)
         else:
             self.shortcut = None
 
@@ -163,24 +164,27 @@ class Model:
         return copy.deepcopy(self)
 
 
-def build_mini_resnet1d(config: ModelConfig) -> Model:
-    """Assemble the residual 1-D conv backbone for inputs of shape [E, T].
+def build_mini_resnet1d(config: ModelConfig, draw: Draw | None = None) -> Model:
+    """Assemble the residual 1-D conv backbone for inputs of shape [E, T], its parameters from ``draw``.
 
-    Raises a build error naming the first stage whose sequence length would
-    collapse below one sample.
+    Raises a build error naming the first stage whose sequence length would collapse below one sample.
     """
-    rng = np.random.default_rng(np.random.PCG64(config.seed))
+    if draw is None:
+        rng = np.random.default_rng(np.random.PCG64(config.seed))
+
+        def draw(shape: tuple[int, ...], fan_in: int) -> np.ndarray:
+            bound = float(np.sqrt(1.0 / fan_in))
+            return rng.uniform(-bound, bound, size=shape)
+
     length = config.n_timesteps
 
     def shrink(stage: str, new_length: int) -> int:
         if new_length < 1:
-            raise ValidationError(
-                f"model too deep for n_timesteps={config.n_timesteps}: "
-                f"{stage} would produce length {new_length}"
-            )
+            raise ValidationError(f"model too deep for n_timesteps={config.n_timesteps}: "
+                                  f"{stage} would produce length {new_length}")
         return new_length
 
-    stem = Conv1d(config.n_electrodes, config.width_base, 7, 2, 3, rng)
+    stem = Conv1d(config.n_electrodes, config.width_base, 7, 2, 3, draw)
     length = shrink("stem conv", T.conv_output_length(length, 7, 2, 3))
 
     stages = []
@@ -189,36 +193,16 @@ def build_mini_resnet1d(config: ModelConfig) -> Model:
         width = config.width_base * (2 ** stage)
         name = f"stage {stage + 1}"
         length = shrink(name, T.conv_output_length(length, 3, 2, 1))
-        first = ResidualBlock(channels, width, 2, rng)
-        second = ResidualBlock(width, width, 1, rng)
+        first = ResidualBlock(channels, width, 2, draw)
+        second = ResidualBlock(width, width, 1, draw)
         channels = width
         pool = stage >= 2
         if pool:
-            if length < 4:
-                raise ValidationError(
-                    f"model too deep for n_timesteps={config.n_timesteps}: "
-                    f"{name} max pool needs length >= 4, got {length}"
-                )
-            length = shrink(f"{name} max pool", (length - 4) // 4 + 1)
+            length = shrink(f"{name} max pool", T.conv_output_length(length, 4, 4, 0))
         stages.append((first, second, pool))
 
-    head = Linear(channels, config.n_classes, rng)
+    head = Linear(channels, config.n_classes, draw)
     return Model(stem, stages, head, {"builder": "mini_resnet1d", "kwargs": asdict(config)})
-
-
-def parameter_count(config: ModelConfig) -> int:
-    """How many parameters :func:`build_mini_resnet1d` gives ``config``, worked out without building it."""
-    def conv(c_in: int, c_out: int, k: int) -> int:
-        return c_out * (c_in * k + 1)
-
-    count = conv(config.n_electrodes, config.width_base, 7)
-    channels = config.width_base
-    for stage in range(config.n_blocks):
-        width = config.width_base * (2 ** stage)
-        # first block: two k=3 convs and the 1x1 shortcut; second block: two k=3 convs
-        count += conv(channels, width, 3) + conv(channels, width, 1) + 3 * conv(width, width, 3)
-        channels = width
-    return count + config.n_classes * (channels + 1)
 
 
 def per_sample_losses(model: Model, batch: Tensor, labels) -> np.ndarray:
@@ -246,45 +230,47 @@ def save_checkpoint(model: Model, path) -> None:
 
 
 def load_checkpoint(path) -> Model:
+    """The model :func:`save_checkpoint` wrote: the builder run on the file's architecture and tensors."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    view = memoryview(blob)
+        view = memoryview(fh.read())
     if len(view) < 10 or bytes(view[:4]) != CHECKPOINT_MAGIC:
         raise DataFormatError(f"{path}: not a model checkpoint (bad magic)")
     version, arch_len = struct.unpack_from("<HI", view, 4)
     if version != CHECKPOINT_VERSION:
         raise DataFormatError(f"{path}: unsupported checkpoint version {version}")
-    offset = 10
+    offset, n_drawn = 10, 0
+
+    def stored(shape: tuple[int, ...], fan_in: int) -> np.ndarray:
+        """The file's next tensor, refused unless it has ``shape`` and all of its bytes are in the file."""
+        nonlocal offset, n_drawn
+        (ndim,) = struct.unpack_from("<B", view, offset)
+        found = struct.unpack_from(f"<{ndim}I", view, offset + 1)
+        offset += 1 + 4 * ndim
+        if found != shape:
+            raise DataFormatError(f"{path}: tensor shape {found} does not match model shape {shape}")
+        count = math.prod(shape)  # exact, so a huge shape cannot wrap round to a small byte count
+        if 8 * count > len(view) - offset:
+            raise DataFormatError(f"{path}: truncated checkpoint: tensor {n_drawn} needs {8 * count} bytes")
+        values = np.frombuffer(view, dtype="<f8", count=count, offset=offset).reshape(shape)
+        if not np.isfinite(values).all():
+            raise DataFormatError(f"{path}: tensor {n_drawn} {shape} holds non-finite values")
+        offset += 8 * count
+        n_drawn += 1
+        return values
+
     try:
         arch = json.loads(bytes(view[offset:offset + arch_len]).decode("utf-8"))
         offset += arch_len
         if not isinstance(arch, dict) or arch.get("builder") != "mini_resnet1d":
             raise DataFormatError(f"{path}: not a mini_resnet1d checkpoint")
-        config = ModelConfig(**arch["kwargs"])
-        # checked before building, so a short file cannot make the loader allocate a model of any size
-        n_values = parameter_count(config)
-        if 8 * n_values > len(view) - offset:
-            raise DataFormatError(f"{path}: {len(view) - offset} bytes cannot hold the {n_values} "
-                                  "parameters its architecture declares")
-        model = build_mini_resnet1d(config)
         (n_params,) = struct.unpack_from("<I", view, offset)
         offset += 4
-        params = model.parameters()
-        if n_params != len(params):
-            raise DataFormatError(f"{path}: checkpoint has {n_params} tensors, model needs {len(params)}")
-        for p in params:
-            (ndim,) = struct.unpack_from("<B", view, offset)
-            offset += 1
-            shape = struct.unpack_from(f"<{ndim}I", view, offset)
-            offset += 4 * ndim
-            if shape != p.shape:
-                raise DataFormatError(f"{path}: tensor shape {shape} does not match model shape {p.shape}")
-            count = int(np.prod(shape)) if ndim else 1
-            p.data[...] = np.frombuffer(view, dtype="<f8", count=count, offset=offset).reshape(shape)
-            offset += 8 * count
+        model = build_mini_resnet1d(ModelConfig(**arch["kwargs"]), stored)
     except (struct.error, ValueError, KeyError, IndexError, TypeError, ValidationError) as exc:
-        # TypeError and ValidationError come from model kwargs ModelConfig rejects
+        # TypeError and ValidationError come from model kwargs ModelConfig or the builder rejects
         raise DataFormatError(f"{path}: truncated or malformed checkpoint ({exc})") from None
+    if n_params != n_drawn:
+        raise DataFormatError(f"{path}: checkpoint has {n_params} tensors, model needs {n_drawn}")
     if offset != len(view):
         raise DataFormatError(f"{path}: {len(view) - offset} trailing bytes after parameters")
     return model

@@ -164,6 +164,34 @@ class TestConfigValidation:
         every = {(section, key) for section, keys in cfg.to_dict().items() for key in keys}
         assert listed == every - {("run", "cohort_file")}
 
+    def test_every_key_parses_as_the_type_of_its_default(self, tmp_path, capsys):
+        path = tmp_path / "every.ini"
+        path.write_text("[generator]\nn_subjects = 12\nn_imagery_classes = 3\ntrials_per_class = 5\n"
+                        "n_electrodes = 6\nn_timesteps = 96\nsnr = 3\nsubject_shift_scale = 0.25\n"
+                        "noisy_subject_ids = 7, 3\nseed = 11\n"
+                        "[model]\nwidth_base = 3\nn_blocks = 2\n"
+                        "[coteach]\ntau = 0.3\nt_k = 4\nt_max = 6\nb = 2\nlr = 1\n"
+                        "[run]\nmethod = baseline\nmaster_seed = 8\nval_ratio = 0.8\ncohort_file =  c.ctss \n")
+        echo = load_config(path).to_dict()
+        assert echo == {
+            "generator": {"n_subjects": 12, "n_imagery_classes": 3, "trials_per_class": 5, "n_electrodes": 6,
+                          "n_timesteps": 96, "snr": 3.0, "subject_shift_scale": 0.25,
+                          "noisy_subject_ids": (3, 7), "seed": 11},
+            "model": {"width_base": 3, "n_blocks": 2},
+            "coteach": {"tau": 0.3, "t_k": 4, "t_max": 6, "b": 2, "lr": 1.0},
+            "run": {"method": "baseline", "master_seed": 8, "val_ratio": 0.8, "cohort_file": "c.ctss"},
+        }
+        defaults = ExperimentConfig().to_dict()
+        for section, values in echo.items():
+            assert list(values) == list(defaults[section])  # exactly the 20 keys, in order
+            for key, value in values.items():
+                assert type(value) is type(defaults[section][key]) and value != defaults[section][key], key
+        assert sum(map(len, echo.values())) == 20
+        path.write_text("[model]\nwidth_base = 2.5\n")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err
+        assert "model.width_base" in err and len(err.splitlines()) == 1
+
 
 def echo_as_ini(echo: dict) -> str:
     """A config echo written back as an INI file."""
@@ -467,8 +495,11 @@ class TestReport:
         json.dumps({"method": "coteach", "folds": [{"target_subject": 0, "balanced_accuracy": 0.5}],
                     "mean_balanced_accuracy": 0.5, "std_balanced_accuracy": 0.0,
                     "selection_frequencies": [1, 2, 30]}).encode(),
+        json.dumps({"method": "coteach", "folds": [{"target_subject": True, "balanced_accuracy": 0.5},
+                                                   {"target_subject": False, "balanced_accuracy": 0.5}],
+                    "mean_balanced_accuracy": 0.5, "std_balanced_accuracy": 0.0}).encode(),
     ], ids=["no-summary", "invalid-json", "non-utf8", "list", "no-folds", "fold-without-target",
-            "frequencies-list"])
+            "frequencies-list", "bool-target"])
     def test_empty_run_dir_exits_4(self, tmp_path, capsys, summary):
         if summary is not None:
             (tmp_path / "summary.json").write_bytes(summary)

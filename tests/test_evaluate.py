@@ -1,5 +1,7 @@
 """Metrics, baseline training, LOSO harness, and selection-frequency reports."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -195,6 +197,19 @@ class TestRunLoso:
         par = run_loso(cohort, "baseline", toy_model_config(), cc, gen, master_seed=4,
                        parallel_folds=2)
         assert seq.summary.folds == par.summary.folds
+
+    @pytest.mark.parametrize("parallel_folds", [1, 2])
+    def test_each_finished_fold_is_logged_at_info(self, caplog, parallel_folds):
+        gen = toy_generator(n_subjects=3, seed=18)
+        with caplog.at_level(logging.INFO, logger="ctss"):
+            run = run_loso(generate_cohort(gen), "coteach", toy_model_config(), CoteachConfig(t_max=1, seed=0),
+                           gen, master_seed=4, parallel_folds=parallel_folds)
+        records = [r for r in caplog.records if r.name.startswith("ctss") and r.getMessage().startswith("fold ")]
+        assert [r.levelno for r in records] == [logging.INFO] * 3
+        assert [r.getMessage() for r in records] == [
+            f"fold {k}/3: subject {f.target_subject}, coteach, balanced accuracy {f.balanced_accuracy:.4f}, "
+            f"best epoch {f.best_epoch}" for k, f in enumerate(run.summary.folds, 1)]
+        assert [f.target_subject for f in run.summary.folds] == [0, 1, 2]
 
     @pytest.mark.parametrize("parallel_folds", [0, -3])
     def test_parallel_folds_below_1_raises(self, parallel_folds):
