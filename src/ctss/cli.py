@@ -39,6 +39,13 @@ def _load_or_default_config(path: str | None) -> ExperimentConfig:
     return load_config(path)
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS has one, else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def cmd_generate(args) -> int:
     cfg = _load_or_default_config(args.config)
     generator = cfg.generator if args.seed is None else replace(cfg.generator, seed=args.seed)
@@ -171,8 +178,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", required=True, help="output directory; a rerun replaces the run it holds")
     p_run.add_argument("--seed", type=int, help="override master seed")
     p_run.add_argument("--method", choices=METHODS, help="override run.method")
-    p_run.add_argument("--parallel-folds", type=int, default=1, dest="parallel_folds",
-                       help="train folds in up to K worker processes (default 1)")
+    p_run.add_argument("--parallel-folds", type=int, default=usable_cpus(), dest="parallel_folds", metavar="K",
+                       help="train folds in up to K worker processes, never more than the folds, each on one "
+                            "BLAS thread; 1 trains them one by one in this process (default %(default)s, "
+                            "the usable CPUs)")
     p_run.set_defaults(func=cmd_run)
 
     p_rep = sub.add_parser("report", help="print tables for a finished run directory")

@@ -89,7 +89,8 @@ def _parse_section(parser: configparser.ConfigParser, section: str) -> dict:
 
 def load_config(path) -> ExperimentConfig:
     """Parse and validate an experiment config file."""
-    parser = configparser.ConfigParser()
+    # a default section no header can name (none holds a line break): [DEFAULT] is then an unknown section
+    parser = configparser.ConfigParser(default_section="\n")
     try:
         if not parser.read(path, encoding="utf-8"):
             raise ValidationError(f"config file not found: {path}")

@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .blas import single_blas_thread
 from .coteaching import (
     Checkpoint,
     CoteachConfig,
@@ -110,7 +111,9 @@ def run_fold(cohort, target_subject_id: int, method: str, model_config: ModelCon
 
 
 def _fold_task(args) -> FoldOutput:
-    return run_fold(*args)
+    """One fold in a worker process, on one BLAS thread: the workers already fill the cores."""
+    with single_blas_thread():
+        return run_fold(*args)
 
 
 def _logged(outputs, n_folds: int):

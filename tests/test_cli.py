@@ -3,14 +3,16 @@
 import configparser
 import dataclasses
 import json
+import os
 import re
+from collections.abc import Callable
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ctss.evaluate
-from ctss.cli import main
+from ctss.cli import main, usable_cpus
 from ctss.config import ExperimentConfig, load_config
 from ctss.coteaching import read_selection_log
 from ctss.data import GeneratorConfig, generate_cohort, load_raw, save_raw
@@ -100,9 +102,12 @@ class TestConfigValidation:
         # the command line alone sets these two; the toy config keeps a run that accepted them short
         (TOY_CONFIG.encode() + b"out_dir = runs/latest\n", "run.out_dir"),
         (TOY_CONFIG.encode() + b"parallel_folds = 2\n", "run.parallel_folds"),
+        # configparser would add [DEFAULT]'s keys to every section, or ignore them where there is none
+        (b"[DEFAULT]\nfoo = 1\n", "[DEFAULT]"),
+        (b"[DEFAULT]\nseed = 3\n[generator]\nn_subjects = 2\n", "[DEFAULT]"),
     ], ids=["unknown-key", "no-section", "duplicate-option", "duplicate-section",
             "bare-percent", "non-utf8", "noise_mode", "m_max", "min_lr", "optimizer", "coteach-seed",
-            "out_dir", "parallel_folds"])
+            "out_dir", "parallel_folds", "default-section-alone", "default-section"])
     def test_unknown_key_exits_2(self, tmp_path, capsys, content, named):
         path = tmp_path / "bad.ini"
         path.write_bytes(content)
@@ -122,11 +127,11 @@ class TestConfigValidation:
         path = tmp_path / "bad.ini"
         key = named.split(".")[1]
         path.write_text(re.sub(rf"^{key} = .*$", f"{key} = {value}", TOY_CONFIG, flags=re.M))
-        folds = spy_folds(monkeypatch)
+        started = spy_folds(monkeypatch, tmp_path)
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "r")]) == 2
         err = capsys.readouterr().err
         assert named in err and len(err.splitlines()) == 1
-        assert folds == []
+        assert started() == {}
 
     def test_infinite_snr_is_accepted(self, tmp_path):  # a noise-free cohort
         path = tmp_path / "clean.ini"
@@ -203,17 +208,35 @@ def echo_as_ini(echo: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def spy_folds(monkeypatch) -> list[int]:
-    """Records the target subject of every fold that starts training."""
-    started = []
+def spy_folds(monkeypatch, tmp_path) -> Callable[[], dict[int, int]]:
+    """Marks every fold that starts with a file, so that folds in worker processes count too.
+
+    Returns a function that maps each started fold's target subject to the process that ran it.
+    """
+    marks = tmp_path / "started"
+    marks.mkdir()
     run_fold = ctss.evaluate.run_fold
 
     def spy(cohort, target, *args):
-        started.append(target)
+        (marks / str(target)).write_text(str(os.getpid()))
         return run_fold(cohort, target, *args)
 
     monkeypatch.setattr(ctss.evaluate, "run_fold", spy)
-    return started
+    return lambda: {int(p.name): int(p.read_text()) for p in marks.iterdir()}
+
+
+def assert_same_run(a: Path, b: Path) -> None:
+    """Two run directories hold the same files with the same bytes, the manifest's wall time aside."""
+    written = sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file())
+    assert written == sorted(p.relative_to(b) for p in b.rglob("*") if p.is_file())
+    for name in written:
+        if name.name == "manifest.json":
+            manifests = [json.loads((run / name).read_text()) for run in (a, b)]
+            for manifest in manifests:
+                del manifest["wall_time_seconds"]
+            assert manifests[0] == manifests[1]
+        else:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
 class TestRun:
@@ -285,11 +308,11 @@ class TestRun:
             add_empty_subject(cohort_path, 0)
         cfg = tmp_path / "faulty.ini"
         cfg.write_text(TOY_CONFIG + f"cohort_file = {cohort_path}\n")
-        folds = spy_folds(monkeypatch)
+        started = spy_folds(monkeypatch, tmp_path)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 4
         err = capsys.readouterr().err
         assert str(cohort_path) in err and "subject 0" in err and len(err.splitlines()) == 1
-        assert folds == []
+        assert started() == {}
 
     @pytest.mark.parametrize("n_imagery_classes, only_class_0, found", [
         (1, False, [0, 1]),  # a label the config does not know
@@ -306,15 +329,20 @@ class TestRun:
         cfg = tmp_path / "classes.ini"
         cfg.write_text(re.sub(r"^n_imagery_classes = .*$", f"n_imagery_classes = {n_imagery_classes}",
                               TOY_CONFIG, flags=re.M) + f"cohort_file = {cohort_path}\n")
-        trained = []
+        trained = tmp_path / "trained"  # one file per process that trains, fold workers included
+        trained.mkdir()
         train = ctss.evaluate.train_coteaching
-        monkeypatch.setattr(ctss.evaluate, "train_coteaching",
-                            lambda *args, **kwargs: trained.append(args) or train(*args, **kwargs))
+
+        def spy(*args, **kwargs):
+            (trained / str(os.getpid())).touch()
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(ctss.evaluate, "train_coteaching", spy)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
         err = capsys.readouterr().err
         assert "subject 0" in err and f"labels {found}" in err and len(err.splitlines()) == 1
         assert f"generator.n_imagery_classes = {n_imagery_classes}" in err
-        assert trained == []
+        assert not any(trained.iterdir())
 
     def test_failed_run_leaves_no_out_dir(self, toy_config, tmp_path, capsys):
         cfg = tmp_path / "missing.ini"
@@ -338,11 +366,11 @@ class TestRun:
         else:
             file.write_bytes(b"not a directory")
         out = file / below if below else file
-        folds = spy_folds(monkeypatch)
+        started = spy_folds(monkeypatch, tmp_path)
         assert main(["run", "--config", str(toy_config), "--out", str(out)]) == 4
         err = capsys.readouterr().err
         assert str(file) in err and len(err.strip().splitlines()) == 1
-        assert folds == []
+        assert started() == {}
         if dangling:
             assert file.is_symlink() and not (tmp_path / "nowhere").exists()
         else:
@@ -359,11 +387,11 @@ class TestRun:
 
         cfg = tmp_path / "two.ini"
         cfg.write_text(TOY_CONFIG.replace("n_subjects = 3", "n_subjects = 2"))
-        folds = spy_folds(monkeypatch)
+        started = spy_folds(monkeypatch, tmp_path)
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert str(out / "fold_002") in err and len(err.strip().splitlines()) == 1
-        assert folds == []
+        assert started() == {}
         assert (out / "results.csv").read_bytes() == results  # nothing rewritten or deleted
         assert (out / "fold_002" / "checkpoint.bin").exists()
 
@@ -371,11 +399,11 @@ class TestRun:
         out = tmp_path / "notes"
         out.mkdir()
         (out / "keep.txt").write_text("mine")
-        folds = spy_folds(monkeypatch)
+        started = spy_folds(monkeypatch, tmp_path)
         assert main(["run", "--config", str(toy_config), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert str(out) in err and "manifest.json" in err and len(err.strip().splitlines()) == 1
-        assert folds == []
+        assert started() == {}
         assert [p.name for p in out.iterdir()] == ["keep.txt"]
         assert (out / "keep.txt").read_text() == "mine"
 
@@ -413,23 +441,35 @@ class TestRun:
                         .replace("n_blocks = 1", "n_blocks = 4"))
         for config in (toy_config, deep):
             seq, par = tmp_path / config.stem / "seq", tmp_path / config.stem / "par"
-            assert main(["run", "--config", str(config), "--out", str(seq)]) == 0
+            assert main(["run", "--config", str(config), "--out", str(seq), "--parallel-folds", "1"]) == 0
             assert main(["run", "--config", str(config), "--out", str(par), "--parallel-folds", "2"]) == 0
-            written = sorted(p.relative_to(seq) for p in seq.rglob("*") if p.is_file())
-            assert written == sorted(p.relative_to(par) for p in par.rglob("*") if p.is_file())
-            for name in written:
-                if name.name != "manifest.json":  # which holds the wall time
-                    assert (seq / name).read_bytes() == (par / name).read_bytes(), name
+            assert_same_run(seq, par)
+
+    @pytest.mark.parametrize("method", ["coteach", "baseline"])
+    def test_default_workers_write_the_bytes_of_a_serial_run(self, toy_config, tmp_path, method):
+        serial, default = tmp_path / "serial", tmp_path / "default"
+        assert main(["run", "--config", str(toy_config), "--out", str(serial), "--method", method,
+                     "--parallel-folds", "1"]) == 0
+        assert main(["run", "--config", str(toy_config), "--out", str(default), "--method", method]) == 0
+        assert_same_run(serial, default)
+
+    def test_fold_spy_sees_the_folds_of_default_workers(self, toy_config, tmp_path, monkeypatch):
+        # the "before training" checks above lean on it: by default, folds train in worker processes
+        started = spy_folds(monkeypatch, tmp_path)
+        assert main(["run", "--config", str(toy_config), "--out", str(tmp_path / "r")]) == 0
+        pids = started()
+        assert sorted(pids) == [0, 1, 2]
+        assert (os.getpid() in pids.values()) == (usable_cpus() == 1)
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_parallel_folds_below_1_exits_2_before_training(self, toy_config, tmp_path, capsys, monkeypatch,
                                                             workers):
-        folds = spy_folds(monkeypatch)
+        started = spy_folds(monkeypatch, tmp_path)
         out = tmp_path / "r"
         assert main(["run", "--config", str(toy_config), "--out", str(out), "--parallel-folds", workers]) == 2
         err = capsys.readouterr().err
         assert "--parallel-folds" in err and len(err.strip().splitlines()) == 1
-        assert folds == []
+        assert started() == {}
         assert not out.exists()
 
     def test_run_requires_out(self, toy_config, capsys):

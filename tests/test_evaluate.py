@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import ctss.evaluate
+from ctss.blas import openblas_core, single_blas_thread
 from ctss.coteaching import CoteachConfig, SelectionRecord, default_m_max, train_coteaching
 from ctss.data import GeneratorConfig, augment_rest_class, generate_cohort, train_val_split
 from ctss.errors import ValidationError
@@ -20,6 +21,7 @@ from ctss.evaluate import (
 )
 from ctss.metrics import balanced_accuracy, confusion_matrix
 from ctss.models import Model, ModelConfig
+from test_coteaching import blas_thread_count
 
 
 def toy_generator(n_subjects=3, trials_per_class=6, seed=0, noisy=()):
@@ -243,6 +245,24 @@ class TestRunLoso:
                        gen, master_seed=4, parallel_folds=parallel_folds)
         assert started == [workers]
         assert len(run.summary.folds) == 3
+
+    def test_fold_workers_run_one_blas_thread(self, monkeypatch, tmp_path):
+        if openblas_core() is None:
+            pytest.skip("no OpenBLAS thread control in this process")
+        if blas_thread_count() == 1:
+            pytest.skip("OpenBLAS runs one thread already, so a worker's pin would not show")
+        fold = ctss.evaluate.run_fold
+
+        def spy(cohort, target, *args):
+            with single_blas_thread() as count:  # yields the count it found on entry
+                (tmp_path / str(target)).write_text(str(count))
+            return fold(cohort, target, *args)
+
+        monkeypatch.setattr(ctss.evaluate, "run_fold", spy)
+        gen = toy_generator(n_subjects=3, seed=18)
+        run_loso(generate_cohort(gen), "baseline", toy_model_config(), CoteachConfig(t_max=1, seed=0),
+                 gen, master_seed=4, parallel_folds=2)
+        assert {p.name: p.read_text() for p in tmp_path.iterdir()} == {"0": "1", "1": "1", "2": "1"}
 
     def test_result_files(self, tmp_path):
         gen = toy_generator(n_subjects=3, seed=20)
