@@ -1,8 +1,8 @@
 """Command-line entry point: ``ctss generate|run|report``.
 
-Exit codes: 0 success, 2 configuration/validation problem, 3 numeric failure,
-4 file-format or I/O problem. Set CTSS_LOG_LEVEL (DEBUG/INFO/WARNING/...) to
-control verbosity.
+Exit codes: 0 success, 2 configuration/validation problem or a fold worker
+that died, 3 numeric failure, 4 file-format or I/O problem. Set
+CTSS_LOG_LEVEL (DEBUG/INFO/WARNING/...) to control verbosity.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from . import __version__
 from .config import ExperimentConfig, load_config
 from .coteaching import METHODS
 from .data import generate_cohort, load_raw, save_raw
-from .errors import DataFormatError, NumericError, ValidationError
+from .errors import DataFormatError, NumericError, ValidationError, WorkerError
 from .evaluate import check_out_dir, run_loso, write_run
 
 log = logging.getLogger("ctss")
@@ -197,7 +197,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, MemoryError) as exc:  # only config sizes reach an allocation numpy refuses
+    except (ValidationError, WorkerError, MemoryError) as exc:  # out of memory: config sizes, or too many fold workers
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except NumericError as exc:

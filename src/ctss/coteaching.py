@@ -359,16 +359,18 @@ def default_m_max(train, b: int) -> int:
 def _network_g_helper(enabled: bool):
     """A one-worker executor for network g's half of each phase, or None for the serial path.
 
-    The helper runs only with OpenBLAS pinned to one thread: unpinned, BLAS's
-    own threads already fill the cores and two training threads gain
-    nothing. Without a pin it yields None. The thread lives only inside this
-    context, so it is never alive across a fork of a fold worker.
+    The helper takes a core that BLAS's own threads would otherwise use, so
+    it runs only where the pin replaced more than one OpenBLAS thread. Without
+    a pin, or where OpenBLAS already ran one thread (a fold worker, whose
+    sibling workers fill the other cores, or a one-core machine), it yields
+    None. The thread lives only inside this context, so it is never alive
+    across a fork of a fold worker.
     """
     if not enabled:
         yield None
         return
     with single_blas_thread() as replaced_count:
-        if replaced_count is None:
+        if replaced_count is None or replaced_count < 2:
             yield None
             return
         with ThreadPoolExecutor(max_workers=1, thread_name_prefix="ctss-g") as helper:

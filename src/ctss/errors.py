@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto exit codes: validation problems exit 2, numeric
-failures exit 3, file-format and I/O problems exit 4.
+The CLI maps these onto exit codes: validation problems and a fold worker
+that died exit 2, numeric failures exit 3, file-format and I/O problems exit 4.
 """
 
 
@@ -27,3 +27,7 @@ class StateError(CtssError):
 
 class DataFormatError(CtssError):
     """A binary file failed magic, version, length, or checksum validation."""
+
+
+class WorkerError(CtssError):
+    """A fold worker process ended without a result: killed by a signal or the out-of-memory killer."""

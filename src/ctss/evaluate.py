@@ -11,9 +11,12 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import multiprocessing
 import re
 import shutil
+import sys
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -31,12 +34,16 @@ from .coteaching import (
     write_selection_log,
 )
 from .data import GeneratorConfig, augment_rest_class, loso_split, train_val_split
-from .errors import DataFormatError, ValidationError
+from .errors import DataFormatError, ValidationError, WorkerError
 from .metrics import evaluate_balanced_accuracy
 from .models import ModelConfig, save_checkpoint
 from .seeding import derive_seed
 
 log = logging.getLogger(__name__)
+
+# Fold workers fork where that is safe, on Linux, whatever the Python default:
+# they start from this process's imports, and every worker starts up front.
+_POOL_CONTEXT = multiprocessing.get_context("fork" if sys.platform == "linux" else None)
 
 
 def train_baseline(train, val, model_config: ModelConfig, config: CoteachConfig,
@@ -111,7 +118,10 @@ def run_fold(cohort, target_subject_id: int, method: str, model_config: ModelCon
 
 
 def _fold_task(args) -> FoldOutput:
-    """One fold in a worker process, on one BLAS thread: the workers already fill the cores."""
+    """One fold in a worker process, on one BLAS thread and so without co-teaching's helper thread.
+
+    The workers already fill the cores; see ``coteaching._network_g_helper``.
+    """
     with single_blas_thread():
         return run_fold(*args)
 
@@ -136,9 +146,16 @@ def run_loso(cohort, method: str, model_config: ModelConfig, train_config: Cotea
     tasks = [(cohort, sid, method, model_config, train_config, generator_config,
               master_seed, val_ratio) for sid in targets]
     if parallel_folds > 1:
-        # the fork start method launches every worker up front, so never more than folds
-        with ProcessPoolExecutor(max_workers=min(parallel_folds, len(tasks))) as pool:
-            outputs = list(_logged(pool.map(_fold_task, tasks), len(tasks)))
+        # forked workers all start up front, so never more than folds
+        with ProcessPoolExecutor(max_workers=min(parallel_folds, len(tasks)), mp_context=_POOL_CONTEXT) as pool:
+            futures = [pool.submit(_fold_task, task) for task in tasks]
+            try:
+                outputs = list(_logged((f.result() for f in futures), len(tasks)))
+            except BrokenProcessPool:
+                lost = [sid for sid, f in zip(targets, futures) if f.exception() is not None]
+                raise WorkerError(f"a fold worker process died (killed by a signal, or out of memory) with the "
+                                  f"folds of subjects {lost} unfinished; fewer --parallel-folds hold fewer "
+                                  "folds in memory at once") from None
     else:
         outputs = list(_logged((run_fold(*task) for task in tasks), len(tasks)))
 

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import os
 import re
+import signal
 from collections.abc import Callable
 from pathlib import Path
 
@@ -212,6 +213,7 @@ def spy_folds(monkeypatch, tmp_path) -> Callable[[], dict[int, int]]:
     """Marks every fold that starts with a file, so that folds in worker processes count too.
 
     Returns a function that maps each started fold's target subject to the process that ran it.
+    Fold workers are forked (``ctss.evaluate._POOL_CONTEXT``), so they run this patched ``run_fold``.
     """
     marks = tmp_path / "started"
     marks.mkdir()
@@ -460,6 +462,22 @@ class TestRun:
         pids = started()
         assert sorted(pids) == [0, 1, 2]
         assert (os.getpid() in pids.values()) == (usable_cpus() == 1)
+
+    def test_dead_fold_worker_exits_2_naming_unfinished_folds(self, toy_config, tmp_path, capsys, monkeypatch):
+        run_fold, parent = ctss.evaluate.run_fold, os.getpid()
+
+        def fold(cohort, target, *args):
+            if target == 1 and os.getpid() != parent:  # as the out-of-memory killer would
+                os.kill(os.getpid(), signal.SIGKILL)
+            return run_fold(cohort, target, *args)
+
+        monkeypatch.setattr(ctss.evaluate, "run_fold", fold)
+        out = tmp_path / "r"
+        assert main(["run", "--config", str(toy_config), "--out", str(out), "--parallel-folds", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: a fold worker process died") and len(err.splitlines()) == 1
+        assert 1 in json.loads(re.search(r"subjects (\[[\d, ]*\])", err).group(1))
+        assert not out.exists()
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_parallel_folds_below_1_exits_2_before_training(self, toy_config, tmp_path, capsys, monkeypatch,

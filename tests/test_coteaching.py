@@ -529,9 +529,11 @@ def blas_thread_count() -> int | None:
 
 
 def force_threads(monkeypatch) -> None:
-    """Trains even the toy recipe's pair on two threads; skips where OpenBLAS cannot be pinned."""
+    """Trains even the toy recipe's pair on two threads; skips where OpenBLAS has no second thread to give up."""
     if blas_thread_count() is None:
         pytest.skip("no OpenBLAS thread control in this process")
+    if blas_thread_count() == 1:
+        pytest.skip("OpenBLAS runs one thread, so co-teaching starts no helper thread")
     monkeypatch.setattr(ctss.coteaching, "_THREAD_MIN_VALUES", 0)
 
 

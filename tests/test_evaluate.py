@@ -1,10 +1,13 @@
 """Metrics, baseline training, LOSO harness, and selection-frequency reports."""
 
 import logging
+import threading
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
+import ctss.coteaching
 import ctss.evaluate
 from ctss.blas import openblas_core, single_blas_thread
 from ctss.coteaching import CoteachConfig, SelectionRecord, default_m_max, train_coteaching
@@ -225,9 +228,9 @@ class TestRunLoso:
         started = []
 
         class SerialPool:
-            """Records max_workers and maps in this process, so no worker is started."""
+            """Records max_workers and runs each task in this process, so no worker is started."""
 
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, mp_context):
                 started.append(max_workers)
 
             def __enter__(self):
@@ -236,8 +239,10 @@ class TestRunLoso:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks):
-                return map(fn, tasks)
+            def submit(self, fn, task):
+                future = Future()
+                future.set_result(fn(task))
+                return future
 
         monkeypatch.setattr(ctss.evaluate, "ProcessPoolExecutor", SerialPool)
         gen = toy_generator(n_subjects=3, seed=18)
@@ -263,6 +268,26 @@ class TestRunLoso:
         run_loso(generate_cohort(gen), "baseline", toy_model_config(), CoteachConfig(t_max=1, seed=0),
                  gen, master_seed=4, parallel_folds=2)
         assert {p.name: p.read_text() for p in tmp_path.iterdir()} == {"0": "1", "1": "1", "2": "1"}
+
+    def test_fold_workers_train_coteaching_on_one_thread(self, monkeypatch, tmp_path):
+        if blas_thread_count() in (None, 1):
+            pytest.skip("OpenBLAS cannot give up a thread here, so no process starts co-teaching's helper")
+        monkeypatch.setattr(ctss.coteaching, "_THREAD_MIN_VALUES", 0)
+        update = ctss.coteaching._masked_update
+
+        def spy(*args):  # one file per thread that updates a network, in whichever process
+            (tmp_path / threading.current_thread().name).touch()
+            return update(*args)
+
+        monkeypatch.setattr(ctss.coteaching, "_masked_update", spy)
+        gen = toy_generator(n_subjects=3, seed=18)
+        cohort = generate_cohort(gen)
+        for workers, threads in ((1, {"MainThread", "ctss-g_0"}), (2, {"MainThread"})):
+            for mark in tmp_path.iterdir():
+                mark.unlink()
+            run_loso(cohort, "coteach", toy_model_config(), CoteachConfig(t_max=1, seed=0), gen,
+                     master_seed=4, parallel_folds=workers)
+            assert {p.name for p in tmp_path.iterdir()} == threads
 
     def test_result_files(self, tmp_path):
         gen = toy_generator(n_subjects=3, seed=20)
