@@ -17,13 +17,14 @@ import shutil
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .blas import single_blas_thread
+from .blas import openblas_core, single_blas_thread
 from .coteaching import (
     Checkpoint,
     CoteachConfig,
@@ -126,14 +127,6 @@ def _fold_task(args) -> FoldOutput:
         return run_fold(*args)
 
 
-def _logged(outputs, n_folds: int):
-    """Each fold's output as it arrives, logged at INFO."""
-    for k, out in enumerate(outputs, 1):
-        log.info("fold %d/%d: subject %d, %s, balanced accuracy %.4f, best epoch %d", k, n_folds,
-                 out.record.target_subject, out.record.method, out.record.balanced_accuracy, out.record.best_epoch)
-        yield out
-
-
 def run_loso(cohort, method: str, model_config: ModelConfig, train_config: CoteachConfig,
              generator_config: GeneratorConfig, master_seed: int, val_ratio: float = 0.9,
              parallel_folds: int = 1, config_echo: dict | None = None) -> LosoRun:
@@ -145,19 +138,21 @@ def run_loso(cohort, method: str, model_config: ModelConfig, train_config: Cotea
     targets = [ds.subject_id for ds in cohort]
     tasks = [(cohort, sid, method, model_config, train_config, generator_config,
               master_seed, val_ratio) for sid in targets]
-    if parallel_folds > 1:
-        # forked workers all start up front, so never more than folds
-        with ProcessPoolExecutor(max_workers=min(parallel_folds, len(tasks)), mp_context=_POOL_CONTEXT) as pool:
-            futures = [pool.submit(_fold_task, task) for task in tasks]
-            try:
-                outputs = list(_logged((f.result() for f in futures), len(tasks)))
-            except BrokenProcessPool:
-                lost = [sid for sid, f in zip(targets, futures) if f.exception() is not None]
-                raise WorkerError(f"a fold worker process died (killed by a signal, or out of memory) with the "
-                                  f"folds of subjects {lost} unfinished; fewer --parallel-folds hold fewer "
-                                  "folds in memory at once") from None
-    else:
-        outputs = list(_logged((run_fold(*task) for task in tasks), len(tasks)))
+    outputs: list[FoldOutput] = []
+    # forked workers all start up front, so never more than folds
+    with (ProcessPoolExecutor(max_workers=min(parallel_folds, len(tasks)), mp_context=_POOL_CONTEXT)
+          if parallel_folds > 1 else nullcontext()) as pool:
+        folds = pool.map(_fold_task, tasks) if pool else (run_fold(*task) for task in tasks)
+        try:
+            for out in folds:
+                log.info("fold %d/%d: subject %d, %s, balanced accuracy %.4f, best epoch %d", len(outputs) + 1,
+                         len(tasks), out.record.target_subject, out.record.method,
+                         out.record.balanced_accuracy, out.record.best_epoch)
+                outputs.append(out)
+        except BrokenProcessPool:
+            raise WorkerError(f"a fold worker process died (killed by a signal, or out of memory) with the "
+                              f"folds of subjects {targets[len(outputs):]} not collected; fewer "
+                              "--parallel-folds hold fewer folds in memory at once") from None
 
     accs = np.array([o.record.balanced_accuracy for o in outputs])
     freqs: dict[int, float] = {}
@@ -202,10 +197,10 @@ def selection_frequency_report(records, window: tuple[int, int]) -> dict[int, di
         raise ValidationError(
             f"window [{lo}, {hi}] outside logged epochs [{min(epochs)}, {max(epochs)}]"
         )
-    universe: set[int] = set()
-    for rec in records:
-        universe.update(rec.subject_ids if rec.subject_ids else rec.selected)
-    subject_ids = sorted(universe)
+    if not all(rec.subject_ids for rec in records):  # as read back from a log, which holds no batch universe
+        raise ValidationError("selection records carry no batch universe (empty subject_ids), so the "
+                              "subjects no network selected are unknown")
+    subject_ids = sorted({sid for rec in records for sid in rec.subject_ids})
 
     counts = {net: 0 for net in ("f", "g")}
     hits = {net: {sid: 0 for sid in subject_ids} for net in ("f", "g")}
@@ -289,6 +284,6 @@ def write_run(run: LosoRun, out_dir, wall_time_seconds: float) -> None:
         save_checkpoint(fold.checkpoint.model, fold_dir / "checkpoint.bin")
         if fold.selection_records:
             write_selection_log(fold.selection_records, fold_dir / "selections.jsonl")
-    _write_json({"command": "run", "config": run.summary.config_echo, "method": run.summary.method,
-                 "master_seed": run.summary.master_seed, "version": __version__,
+    _write_json({"blas_core": openblas_core(), "command": "run", "config": run.summary.config_echo,
+                 "method": run.summary.method, "master_seed": run.summary.master_seed, "version": __version__,
                  "wall_time_seconds": wall_time_seconds}, out_dir / "manifest.json")

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import ctss.evaluate
+from ctss.blas import openblas_core
 from ctss.cli import main, usable_cpus
 from ctss.config import ExperimentConfig, load_config
 from ctss.coteaching import read_selection_log
@@ -262,6 +263,11 @@ class TestRun:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["master_seed"] == 9
         assert (out / "fold_000" / "checkpoint.bin").exists()
+
+    def test_manifest_names_the_blas_core(self, toy_config, tmp_path):
+        out = tmp_path / "r"
+        assert main(["run", "--config", str(toy_config), "--out", str(out), "--method", "baseline"]) == 0
+        assert json.loads((out / "manifest.json").read_text())["blas_core"] == openblas_core()
 
     def test_rerun_reproduces_results_and_logs_bytewise(self, toy_config, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"

@@ -2,7 +2,6 @@
 
 import logging
 import threading
-from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -10,7 +9,14 @@ import pytest
 import ctss.coteaching
 import ctss.evaluate
 from ctss.blas import openblas_core, single_blas_thread
-from ctss.coteaching import CoteachConfig, SelectionRecord, default_m_max, train_coteaching
+from ctss.coteaching import (
+    CoteachConfig,
+    SelectionRecord,
+    default_m_max,
+    read_selection_log,
+    train_coteaching,
+    write_selection_log,
+)
 from ctss.data import GeneratorConfig, augment_rest_class, generate_cohort, train_val_split
 from ctss.errors import ValidationError
 from ctss.evaluate import (
@@ -239,10 +245,8 @@ class TestRunLoso:
             def __exit__(self, *exc):
                 return False
 
-            def submit(self, fn, task):
-                future = Future()
-                future.set_result(fn(task))
-                return future
+            def map(self, fn, tasks):
+                return (fn(task) for task in tasks)
 
         monkeypatch.setattr(ctss.evaluate, "ProcessPoolExecutor", SerialPool)
         gen = toy_generator(n_subjects=3, seed=18)
@@ -250,6 +254,25 @@ class TestRunLoso:
                        gen, master_seed=4, parallel_folds=parallel_folds)
         assert started == [workers]
         assert len(run.summary.folds) == 3
+
+    def test_every_fold_comes_through_pool_map_in_target_order(self, monkeypatch):
+        """A pool subclass that wraps ``map``, as a tracer measuring tasks and results does, sees every fold."""
+        seen = []
+
+        class RecordingPool(ctss.evaluate.ProcessPoolExecutor):
+            def map(self, fn, tasks, **kwargs):
+                tasks = list(tasks)
+                seen.append([task[1] for task in tasks])
+                for out in super().map(fn, tasks, **kwargs):
+                    seen.append(out.record)
+                    yield out
+
+        monkeypatch.setattr(ctss.evaluate, "ProcessPoolExecutor", RecordingPool)
+        gen = toy_generator(n_subjects=3, seed=18)
+        run = run_loso(generate_cohort(gen), "baseline", toy_model_config(), CoteachConfig(t_max=1, seed=0),
+                       gen, master_seed=4, parallel_folds=2)
+        assert seen == [[0, 1, 2], *run.summary.folds]
+        assert [f.target_subject for f in run.summary.folds] == [0, 1, 2]
 
     def test_fold_workers_run_one_blas_thread(self, monkeypatch, tmp_path):
         if openblas_core() is None:
@@ -338,6 +361,14 @@ class TestSelectionFrequencyReport:
             selection_frequency_report(records, (1, 5))
         with pytest.raises(ValidationError):
             selection_frequency_report([], (1, 1))
+
+    def test_records_read_back_from_a_log_are_refused(self, tmp_path):
+        """The JSONL log drops the batch universe, so a subject no network picked could not be reported."""
+        records = [self.record(1, 1, "f", [0, 1]), self.record(1, 1, "g", [0, 1])]
+        assert selection_frequency_report(records, (1, 1))[2] == {"f": 0.0, "g": 0.0, "pooled": 0.0}
+        write_selection_log(records, tmp_path / "selections.jsonl")
+        with pytest.raises(ValidationError, match="batch universe"):
+            selection_frequency_report(read_selection_log(tmp_path / "selections.jsonl"), (1, 1))
 
     def test_final_window(self):
         assert final_epoch_window(30) == (23, 30)
