@@ -8,6 +8,7 @@ CTSS_LOG_LEVEL (DEBUG/INFO/WARNING/...) to control verbosity.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import logging
 import os
@@ -18,11 +19,8 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .config import ExperimentConfig, load_config
-from .coteaching import METHODS
-from .data import generate_cohort, load_raw, save_raw
+from .config import METHODS, ExperimentConfig, load_config
 from .errors import DataFormatError, NumericError, ValidationError, WorkerError
-from .evaluate import check_out_dir, run_loso, write_run
 
 log = logging.getLogger("ctss")
 
@@ -47,6 +45,7 @@ def usable_cpus() -> int:
 
 
 def cmd_generate(args) -> int:
+    from .data import generate_cohort, save_raw
     cfg = _load_or_default_config(args.config)
     generator = cfg.generator if args.seed is None else replace(cfg.generator, seed=args.seed)
     cohort = generate_cohort(generator)
@@ -59,6 +58,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_run(args) -> int:
+    from .data import generate_cohort, load_raw
+    from .evaluate import check_out_dir, run_loso, write_run
     cfg = _load_or_default_config(args.config)
     run_cfg = cfg.run
     if args.method is not None:
@@ -66,8 +67,10 @@ def cmd_run(args) -> int:
     if args.seed is not None:
         run_cfg = replace(run_cfg, master_seed=args.seed)
 
+    cohort_sha256 = None  # the manifest's name for a cohort generated in memory
     if run_cfg.cohort_file:
         cohort = load_raw(run_cfg.cohort_file)
+        cohort_sha256 = hashlib.sha256(Path(run_cfg.cohort_file).read_bytes()).hexdigest()
         log.info("loaded cohort of %d subjects from %s", len(cohort), run_cfg.cohort_file)
     else:
         cohort = generate_cohort(cfg.generator)
@@ -86,7 +89,7 @@ def cmd_run(args) -> int:
         parallel_folds=args.parallel_folds,
         config_echo=replace(cfg, run=run_cfg).to_dict(),
     )
-    write_run(run, args.out, time.time() - started)
+    write_run(run, args.out, time.time() - started, cohort_sha256)
     print(f"{run_cfg.method}: mean balanced accuracy "
           f"{run.summary.mean_balanced_accuracy:.4f} "
           f"(std {run.summary.std_balanced_accuracy:.4f}) over {len(run.folds)} folds -> {args.out}")

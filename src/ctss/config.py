@@ -1,5 +1,7 @@
 """Experiment configuration: an INI document with generator/model/coteach/run sections.
 
+Every settings dataclass is defined here, on the standard library alone: the CLI
+imports this module at start-up, and numpy only in the commands that compute.
 A section's keys are its dataclass's fields, each read as the type of its
 default, so an empty file (or no overrides) runs the standard recipe: tau=0.2,
 t_k=10, subject-wise batch size 8, Adam at lr 0.01 with single-cycle cosine
@@ -10,12 +12,79 @@ generator section (classes = imagery classes + 1 for rest).
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import asdict, dataclass, field, fields, replace
 
-from .coteaching import METHODS, CoteachConfig
-from .data import GeneratorConfig
 from .errors import ValidationError
-from .models import ModelConfig
+
+METHODS = ("coteach", "baseline")
+
+
+@dataclass(frozen=True)
+class GeneratorConfig:
+    n_subjects: int = 10
+    n_imagery_classes: int = 2
+    trials_per_class: int = 24
+    n_electrodes: int = 4
+    n_timesteps: int = 750
+    snr: float = 2.0
+    subject_shift_scale: float = 0.5
+    noisy_subject_ids: tuple[int, ...] = ()
+    seed: int = 0
+
+    def __post_init__(self):
+        for name in ("n_subjects", "n_imagery_classes", "trials_per_class", "n_electrodes", "n_timesteps"):
+            if getattr(self, name) < 1:
+                raise ValidationError(f"generator.{name} must be positive, got {getattr(self, name)}")
+        if not (self.snr > 0 and 1.0 / self.snr < math.inf):  # 1/snr is the noise sigma
+            raise ValidationError(f"generator.snr must be > 0 with a finite 1/snr, got {self.snr}")
+        if not 0 <= self.subject_shift_scale < math.inf:
+            raise ValidationError(f"generator.subject_shift_scale must be in [0, inf), got {self.subject_shift_scale}")
+        bad = [i for i in self.noisy_subject_ids if not 0 <= i < self.n_subjects]
+        if bad:
+            raise ValidationError(f"generator.noisy_subject_ids {bad} outside 0..{self.n_subjects - 1}")
+        object.__setattr__(self, "noisy_subject_ids", tuple(sorted(set(self.noisy_subject_ids))))
+
+
+@dataclass(frozen=True)
+class ModelConfig:
+    n_electrodes: int
+    n_timesteps: int
+    n_classes: int
+    width_base: int
+    n_blocks: int
+    seed: int = 0
+
+    def __post_init__(self):
+        for name in ("n_electrodes", "n_timesteps", "n_classes", "width_base"):
+            if getattr(self, name) < 1:
+                raise ValidationError(f"model.{name} must be positive, got {getattr(self, name)}")
+        if not 1 <= self.n_blocks <= 4:
+            raise ValidationError(f"model.n_blocks must be in 1..4, got {self.n_blocks}")
+        if not 0 <= self.seed < 2 ** 64:
+            raise ValidationError(f"model.seed must be a 64-bit unsigned int, got {self.seed}")
+
+
+@dataclass(frozen=True)
+class CoteachConfig:
+    tau: float = 0.2
+    t_k: int = 10
+    t_max: int = 30
+    b: int = 8
+    lr: float = 0.01
+    optimizer: str = "adam"  # "sgd" exists for closed-form single-step checks
+    seed: int = 0  # run_fold sets each fold's own
+
+    def __post_init__(self):
+        if not 0.0 <= self.tau < 1.0:
+            raise ValidationError(f"coteach.tau must be in [0, 1), got {self.tau}")
+        for name in ("t_k", "t_max", "b"):
+            if getattr(self, name) < 1:
+                raise ValidationError(f"coteach.{name} must be positive, got {getattr(self, name)}")
+        if not 0 < self.lr < math.inf:
+            raise ValidationError(f"coteach.lr must be in (0, inf), got {self.lr}")
+        if self.optimizer not in ("adam", "sgd"):
+            raise ValidationError(f"coteach.optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
 
 
 @dataclass(frozen=True)

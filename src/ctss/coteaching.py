@@ -34,42 +34,19 @@ from typing import NamedTuple
 import numpy as np
 
 from .blas import single_blas_thread
+from .config import METHODS, CoteachConfig, ModelConfig
 from .errors import ValidationError
 from .heap import keep_freed_memory
 from .metrics import evaluate_balanced_accuracy
-from .models import Model, ModelConfig, build_mini_resnet1d, per_sample_losses
+from .models import Model, build_mini_resnet1d, per_sample_losses
 from .optim import AdamState, adam_step, cosine_lr, sgd_step
 from .seeding import derive_seed
 from .tensor import Tape, Tensor, softmax_cross_entropy
-
-METHODS = ("coteach", "baseline")
 
 # Co-teaching batches of at least this many input values (b*N*E*T) train f
 # and g on two threads. Below it the interpreter lock dominates the small
 # tensor operations and two threads are no faster than one.
 _THREAD_MIN_VALUES = 2 ** 16
-
-
-@dataclass(frozen=True)
-class CoteachConfig:
-    tau: float = 0.2
-    t_k: int = 10
-    t_max: int = 30
-    b: int = 8
-    lr: float = 0.01
-    optimizer: str = "adam"  # "sgd" exists for closed-form single-step checks
-    seed: int = 0  # run_fold sets each fold's own
-
-    def __post_init__(self):
-        if not 0.0 <= self.tau < 1.0:
-            raise ValidationError(f"coteach.tau must be in [0, 1), got {self.tau}")
-        for name in ("t_k", "t_max", "b"):
-            if getattr(self, name) < 1:
-                raise ValidationError(f"coteach.{name} must be positive, got {getattr(self, name)}")
-        if not 0 < self.lr < np.inf:
-            raise ValidationError(f"coteach.lr must be in (0, inf), got {self.lr}")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValidationError(f"coteach.optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
 
 
 @dataclass

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import GeneratorConfig
 from .errors import DataFormatError, NumericError, ValidationError
 from .seeding import derive_seed
 
@@ -59,32 +60,6 @@ class SubjectDataset:
     @property
     def n_trials(self) -> int:
         return self.trials.shape[0]
-
-
-@dataclass(frozen=True)
-class GeneratorConfig:
-    n_subjects: int = 10
-    n_imagery_classes: int = 2
-    trials_per_class: int = 24
-    n_electrodes: int = 4
-    n_timesteps: int = 750
-    snr: float = 2.0
-    subject_shift_scale: float = 0.5
-    noisy_subject_ids: tuple[int, ...] = ()
-    seed: int = 0
-
-    def __post_init__(self):
-        for name in ("n_subjects", "n_imagery_classes", "trials_per_class", "n_electrodes", "n_timesteps"):
-            if getattr(self, name) < 1:
-                raise ValidationError(f"generator.{name} must be positive, got {getattr(self, name)}")
-        if not (self.snr > 0 and 1.0 / self.snr < np.inf):  # 1/snr is the noise sigma
-            raise ValidationError(f"generator.snr must be > 0 with a finite 1/snr, got {self.snr}")
-        if not 0 <= self.subject_shift_scale < np.inf:
-            raise ValidationError(f"generator.subject_shift_scale must be in [0, inf), got {self.subject_shift_scale}")
-        bad = [i for i in self.noisy_subject_ids if not 0 <= i < self.n_subjects]
-        if bad:
-            raise ValidationError(f"generator.noisy_subject_ids {bad} outside 0..{self.n_subjects - 1}")
-        object.__setattr__(self, "noisy_subject_ids", tuple(sorted(set(self.noisy_subject_ids))))
 
 
 def _unit_rms(pattern: np.ndarray) -> np.ndarray:
@@ -227,11 +202,12 @@ def save_raw(cohort: list[SubjectDataset], path) -> None:
             n, e, t = ds.trials.shape
             if ds.labels.max(initial=0) > 0xFFFF:
                 raise ValidationError(f"subject {ds.subject_id}: labels exceed u16 range")
-            block = struct.pack("<IBIII", ds.subject_id, int(ds.is_noisy), n, e, t)
-            block += ds.labels.astype("<u2").tobytes()
-            block += np.ascontiguousarray(ds.trials, dtype="<f8").tobytes()
-            fh.write(block)
-            fh.write(struct.pack("<I", zlib.crc32(block) & 0xFFFFFFFF))
+            crc = 0  # the block's CRC, taken part by part as each is written, so the trials are never copied
+            for part in (struct.pack("<IBIII", ds.subject_id, int(ds.is_noisy), n, e, t),
+                         ds.labels.astype("<u2"), np.ascontiguousarray(ds.trials, dtype="<f8")):
+                fh.write(part)
+                crc = zlib.crc32(part, crc)
+            fh.write(struct.pack("<I", crc))
 
 
 def load_raw(path) -> list[SubjectDataset]:

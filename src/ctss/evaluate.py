@@ -25,19 +25,19 @@ import numpy as np
 
 from . import __version__
 from .blas import openblas_core, single_blas_thread
+from .config import CoteachConfig, GeneratorConfig, ModelConfig
 from .coteaching import (
     Checkpoint,
-    CoteachConfig,
     EpochStats,
     SelectionRecord,
     TrainResult,
     train_coteaching,
     write_selection_log,
 )
-from .data import GeneratorConfig, augment_rest_class, loso_split, train_val_split
+from .data import augment_rest_class, loso_split, train_val_split
 from .errors import DataFormatError, ValidationError, WorkerError
 from .metrics import evaluate_balanced_accuracy
-from .models import ModelConfig, save_checkpoint
+from .models import save_checkpoint
 from .seeding import derive_seed
 
 log = logging.getLogger(__name__)
@@ -266,7 +266,7 @@ def check_out_dir(out_dir: Path, subject_ids) -> None:
                               "choose another --out or remove the old run")
 
 
-def write_run(run: LosoRun, out_dir, wall_time_seconds: float) -> None:
+def write_run(run: LosoRun, out_dir, wall_time_seconds: float, cohort_sha256: str | None) -> None:
     """Replace the run ``out_dir`` holds, if any, with this one, every file of the old run removed."""
     out_dir = Path(out_dir)
     check_out_dir(out_dir, {rec.target_subject for rec in run.summary.folds})
@@ -284,6 +284,7 @@ def write_run(run: LosoRun, out_dir, wall_time_seconds: float) -> None:
         save_checkpoint(fold.checkpoint.model, fold_dir / "checkpoint.bin")
         if fold.selection_records:
             write_selection_log(fold.selection_records, fold_dir / "selections.jsonl")
-    _write_json({"blas_core": openblas_core(), "command": "run", "config": run.summary.config_echo,
-                 "method": run.summary.method, "master_seed": run.summary.master_seed, "version": __version__,
+    _write_json({"blas_core": openblas_core(), "cohort_sha256": cohort_sha256, "command": "run",
+                 "config": run.summary.config_echo, "method": run.summary.method,
+                 "master_seed": run.summary.master_seed, "version": __version__,
                  "wall_time_seconds": wall_time_seconds}, out_dir / "manifest.json")

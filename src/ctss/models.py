@@ -18,35 +18,17 @@ import json
 import math
 import struct
 from collections.abc import Callable
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 import numpy as np
 
 from . import tensor as T
+from .config import ModelConfig
 from .errors import DataFormatError, ValidationError
 from .tensor import Tape, Tensor
 
 CHECKPOINT_MAGIC = b"CTSM"
 CHECKPOINT_VERSION = 1
-
-
-@dataclass(frozen=True)
-class ModelConfig:
-    n_electrodes: int
-    n_timesteps: int
-    n_classes: int
-    width_base: int
-    n_blocks: int
-    seed: int = 0
-
-    def __post_init__(self):
-        for name in ("n_electrodes", "n_timesteps", "n_classes", "width_base"):
-            if getattr(self, name) < 1:
-                raise ValidationError(f"model.{name} must be positive, got {getattr(self, name)}")
-        if not 1 <= self.n_blocks <= 4:
-            raise ValidationError(f"model.n_blocks must be in 1..4, got {self.n_blocks}")
-        if not 0 <= self.seed < 2 ** 64:
-            raise ValidationError(f"model.seed must be a 64-bit unsigned int, got {self.seed}")
 
 
 Draw = Callable[[tuple[int, ...], int], np.ndarray]  # (shape, fan_in) -> one parameter's values

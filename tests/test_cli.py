@@ -2,10 +2,13 @@
 
 import configparser
 import dataclasses
+import hashlib
 import json
 import os
 import re
 import signal
+import subprocess
+import sys
 from collections.abc import Callable
 from pathlib import Path
 
@@ -268,6 +271,22 @@ class TestRun:
         out = tmp_path / "r"
         assert main(["run", "--config", str(toy_config), "--out", str(out), "--method", "baseline"]) == 0
         assert json.loads((out / "manifest.json").read_text())["blas_core"] == openblas_core()
+
+    def test_manifest_names_the_cohort_file_by_its_digest(self, toy_config, tmp_path):
+        cohort_path = tmp_path / "cohort.ctss"
+        assert main(["generate", "--config", str(toy_config), "--out", str(cohort_path)]) == 0
+        cfg = tmp_path / "withfile.ini"
+        cfg.write_text(TOY_CONFIG + f"cohort_file = {cohort_path}\n")
+        out = tmp_path / "r"
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--method", "baseline"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["cohort_sha256"] == hashlib.sha256(cohort_path.read_bytes()).hexdigest()
+
+    def test_manifest_digest_is_null_for_a_cohort_generated_in_memory(self, toy_config, tmp_path):
+        out = tmp_path / "r"
+        assert main(["run", "--config", str(toy_config), "--out", str(out), "--method", "baseline"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert "cohort_sha256" in manifest and manifest["cohort_sha256"] is None
 
     def test_rerun_reproduces_results_and_logs_bytewise(self, toy_config, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
@@ -579,3 +598,39 @@ class TestReport:
         report_path = tmp_path / "report.txt"
         main(["report", str(out), "--out", str(report_path)])
         assert report_path.read_text() == capsys.readouterr().out
+
+
+def loaded_in_fresh_interpreter(code: str) -> tuple[set[str], bool]:
+    """The ctss modules a new interpreter has loaded after running ``code``, and whether numpy is among them."""
+    src = str(Path(ctss.evaluate.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = code + ("\nimport json, sys\nprint(json.dumps([sorted(m for m in sys.modules if m.split('.')[0] == "
+                    "'ctss'), 'numpy' in sys.modules]))")
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    modules, numpy_loaded = json.loads(proc.stdout.splitlines()[-1])
+    return set(modules), numpy_loaded
+
+
+class TestImports:
+    """Each command loads only the modules it runs: the INI schema and the report need no numpy."""
+
+    def test_cli_loads_only_the_config_and_errors(self):
+        assert loaded_in_fresh_interpreter("import ctss.cli") == ({"ctss", "ctss.cli", "ctss.config", "ctss.errors"},
+                                                                   False)
+
+    def test_report_runs_without_numpy(self, toy_config, tmp_path):
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(toy_config), "--out", str(out), "--method", "baseline"]) == 0
+        modules, numpy_loaded = loaded_in_fresh_interpreter(
+            f"from ctss.cli import main\nassert main(['report', {str(out)!r}]) == 0")
+        assert not numpy_loaded, modules
+
+    def test_generate_loads_no_training_module(self, toy_config, tmp_path):
+        out = tmp_path / "cohort.ctss"
+        modules, _ = loaded_in_fresh_interpreter(
+            f"from ctss.cli import main\nassert main(['generate', '--config', {str(toy_config)!r}, "
+            f"'--out', {str(out)!r}]) == 0")
+        assert out.exists()
+        training = {"ctss.coteaching", "ctss.models", "ctss.tensor", "ctss.metrics", "ctss.optim", "ctss.evaluate"}
+        assert not modules & training

@@ -276,7 +276,25 @@ class TestTrainValSplit:
             train_val_split(cohort, 1.0, seed=0)
 
 
+def save_raw_reference(cohort, path) -> None:
+    """The cohort file layout written the plain way: each subject's block built whole, then its CRC."""
+    with open(path, "wb") as fh:
+        fh.write(b"CTSS" + struct.pack("<HI", 1, len(cohort)))
+        for ds in cohort:
+            block = struct.pack("<IBIII", ds.subject_id, int(ds.is_noisy), *ds.trials.shape)
+            block += ds.labels.astype("<u2").tobytes() + ds.trials.astype("<f8").tobytes()
+            fh.write(block + struct.pack("<I", zlib.crc32(block)))
+
+
 class TestRawFiles:
+    def test_bytes_match_the_reference_layout(self, tmp_path):
+        cohort = generate_cohort(toy_config(n_subjects=3, noisy_subject_ids=(1,)))
+        cohort[2] = augment_rest_class(cohort[2], toy_config())  # three label values, and twice the trials
+        written, expected = tmp_path / "cohort.ctss", tmp_path / "reference.ctss"
+        save_raw(cohort, written)
+        save_raw_reference(cohort, expected)
+        assert written.read_bytes() == expected.read_bytes()
+
     def test_roundtrip_bitwise(self, tmp_path):
         cfg = toy_config(noisy_subject_ids=(0,))
         cohort = generate_cohort(cfg)
