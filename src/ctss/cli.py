@@ -69,8 +69,9 @@ def cmd_run(args) -> int:
 
     cohort_sha256 = None  # the manifest's name for a cohort generated in memory
     if run_cfg.cohort_file:
-        cohort = load_raw(run_cfg.cohort_file)
-        cohort_sha256 = hashlib.sha256(Path(run_cfg.cohort_file).read_bytes()).hexdigest()
+        digest = hashlib.sha256()
+        cohort = load_raw(run_cfg.cohort_file, digest)
+        cohort_sha256 = digest.hexdigest()
         log.info("loaded cohort of %d subjects from %s", len(cohort), run_cfg.cohort_file)
     else:
         cohort = generate_cohort(cfg.generator)

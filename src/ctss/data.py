@@ -210,9 +210,12 @@ def save_raw(cohort: list[SubjectDataset], path) -> None:
             fh.write(struct.pack("<I", crc))
 
 
-def load_raw(path) -> list[SubjectDataset]:
+def load_raw(path, hasher=None) -> list[SubjectDataset]:
+    """Read a cohort file; ``hasher`` (a ``hashlib`` object), when given, is fed the bytes parsed."""
     with open(path, "rb") as fh:
         blob = fh.read()
+    if hasher is not None:
+        hasher.update(blob)
     view = memoryview(blob)
     if len(view) < 10:
         raise DataFormatError(f"{path}: file truncated (no header)")

@@ -197,6 +197,27 @@ def _scatter_taps(spread: np.ndarray, length: int, stride: int, padding: int) ->
     return gx
 
 
+KGRAD_BLOCK = 256  # window columns per kernel-gradient product
+
+
+def _blocked_kernel_grad(gflat: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``gflat.T @ cols.T`` [C_out, C*K], summed over consecutive KGRAD_BLOCK-column blocks
+    added in block order; under KGRAD_BLOCK columns it is that single product."""
+    (n, c_out), ck = gflat.shape, cols.shape[0]
+    nb, edge = n // KGRAD_BLOCK, n - n % KGRAD_BLOCK
+    if not nb:
+        return gflat.T @ cols.T
+    # one batched product over the whole blocks, each read as the single product reads its columns
+    parts = np.matmul(gflat[:edge].reshape(nb, KGRAD_BLOCK, c_out).transpose(0, 2, 1),
+                      cols[:, :edge].reshape(ck, nb, KGRAD_BLOCK).transpose(1, 2, 0))
+    gker = parts[0].copy()
+    for part in parts[1:]:
+        gker += part
+    if edge < n:
+        gker += gflat[edge:].T @ cols[:, edge:].T
+    return gker
+
+
 # ---------------------------------------------------------------------------
 # primitives
 
@@ -237,12 +258,10 @@ def conv1d(
     cols = conv_windows(x, k, stride, padding) if windows is None else windows
     if cols.shape != (c * k, b * n_out):
         raise DimensionError(f"conv1d windows must have shape {(c * k, b * n_out)}, got {cols.shape}")
-    # the matmul reads the windows transposed, as [B*L_out, C_in*K] rows, because kflat @ cols
-    # sums in another order for some small shapes
     kflat = kernels.data.reshape(c_out, c * k)
-    # transpose the [B*L_out, C_out] product and add the bias in one pass
-    out = np.empty((b, c_out, n_out), dtype=np.float64)
-    np.add((cols.T @ kflat.T).reshape(b, n_out, c_out).transpose(0, 2, 1), bias.data[None, :, None], out=out)
+    # one [C_out, C_in*K] @ [C_in*K, L_out] product per sample, written straight into [B, C_out, L_out]
+    out = np.matmul(kflat, cols.reshape(c * k, b, n_out).transpose(1, 0, 2))
+    out += bias.data[:, None]
     _ensure_finite(out, "conv1d")
     result = Tensor(out, check_finite=False)
 
@@ -253,7 +272,7 @@ def conv1d(
             gbias = gout.sum(axis=(0, 2))
             # gflat stays the reduction operand: the product in the other orientation sums in another order
             gflat = np.ascontiguousarray(gout.transpose(0, 2, 1)).reshape(b * n_out, c_out)
-            gker = (gflat.T @ cols.T).reshape(c_out, c, k)
+            gker = _blocked_kernel_grad(gflat, cols).reshape(c_out, c, k)
             if not tape.wants(xk):
                 return [(kk, gker), (bk, gbias)]
             spread = np.matmul(kflat.T, gout).reshape(b, c, k, n_out)

@@ -282,6 +282,25 @@ class TestRun:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["cohort_sha256"] == hashlib.sha256(cohort_path.read_bytes()).hexdigest()
 
+    def test_run_opens_the_cohort_file_once(self, toy_config, tmp_path):
+        # the digest is of the bytes the run parsed, so a file swapped after the load cannot lend it its digest
+        cohort_path = tmp_path / "cohort.ctss"
+        assert main(["generate", "--config", str(toy_config), "--out", str(cohort_path)]) == 0
+        cfg = tmp_path / "withfile.ini"
+        cfg.write_text(TOY_CONFIG + f"cohort_file = {cohort_path}\n")
+        args = ["run", "--config", str(cfg), "--out", str(tmp_path / "r"), "--method", "baseline",
+                "--parallel-folds", "1"]
+        # an audit hook sees every open, whichever of open, io.open or os.open makes it
+        code = ("import sys\nopens = []\n"
+                "sys.addaudithook(lambda event, a: opens.append(str(a[0])) if event == 'open' else None)\n"
+                f"from ctss.cli import main\nstatus = main({args!r})\n"
+                f"print(status, opens.count({str(cohort_path)!r}))")
+        src = str(Path(ctss.evaluate.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 1"
+
     def test_manifest_digest_is_null_for_a_cohort_generated_in_memory(self, toy_config, tmp_path):
         out = tmp_path / "r"
         assert main(["run", "--config", str(toy_config), "--out", str(out), "--method", "baseline"]) == 0

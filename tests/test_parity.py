@@ -54,13 +54,13 @@ GOLDENS = {
         "four_stage": {
             "coteach": {
                 "results.csv": "08672d0932889a2ab76d7ca2f5fd14d9aae4db2c9be97680844f3c1e0ab49f72",
-                "checkpoint.bin": "49e817b6c262338c6126addd479744e5cf9e9a346b012f50bd0332399e9ed85a",
-                "selections.jsonl": "c16986692a5e177df0b27f5b8eeee292ab8af20c5394663f66db741071f21d83",
+                "checkpoint.bin": "020254eec97f8c261d660519608607f7daf08f2137edcbb6c6944746ec3c03b6",
+                "selections.jsonl": "a38ed6a19c160f14845e57153bd85e8b1a60580c5bb403737b4120095034727a",
                 "epochs.json": "19e6b3e4baa8389117b6ff773ad1292bd0de5f1e8957a588fd00b80372935054",
             },
             "baseline": {
                 "results.csv": "acfa8095b02bdda5a156c86511ac30af9465c3e11427f64c78f81ec01da98a32",
-                "checkpoint.bin": "680ccd1113b939b5bff31d20e6e50353f93976c17644183504c52c6fa1354221",
+                "checkpoint.bin": "768552a04ed52a7ede175240cd71bc497d8d063acc74ef138c1f09c059f72157",
                 "selections.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",  # empty
                 "epochs.json": "221028249adf439a6690ca979f7f5fa0d21783e41eebe2ecd1f8eaad271befe2",
             },
@@ -71,13 +71,13 @@ GOLDENS = {
             # the same results.csv and epoch stats as SkylakeX, but other last bits in the weights
             "coteach": {
                 "results.csv": "08672d0932889a2ab76d7ca2f5fd14d9aae4db2c9be97680844f3c1e0ab49f72",
-                "checkpoint.bin": "f0bba17203d50025003411d59e6f381fa47ed15de3a22c1420d36effa0c8a50b",
-                "selections.jsonl": "11ec9fc066a39cba6afa6c4c849bb1385cbb5b98b1f850c97e9d854cb23d7431",
+                "checkpoint.bin": "98654211a5e6a58bf1d915b8317a8967dcdf775f2d853235d05059054c97991f",
+                "selections.jsonl": "c4ef57c6dea8249453f98918890544b180f3b60f2af3af888dfa5e9d32f5cb5d",
                 "epochs.json": "19e6b3e4baa8389117b6ff773ad1292bd0de5f1e8957a588fd00b80372935054",
             },
             "baseline": {
                 "results.csv": "acfa8095b02bdda5a156c86511ac30af9465c3e11427f64c78f81ec01da98a32",
-                "checkpoint.bin": "0ec94e5a86087be00b09f6b6c2297ebcf12d572e60e930648a54eb72a2d846d2",
+                "checkpoint.bin": "7172e4f14b7ed615b41795b04019511cbc9444e3bfc282b3fe35085eba7ff00e",
                 "selections.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",  # empty
                 "epochs.json": "221028249adf439a6690ca979f7f5fa0d21783e41eebe2ecd1f8eaad271befe2",
             },

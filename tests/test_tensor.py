@@ -2,6 +2,7 @@
 
 import contextlib
 import math
+import tracemalloc
 import warnings
 import weakref
 
@@ -17,6 +18,7 @@ from ctss.tensor import (
     add,
     conv1d,
     conv_output_length,
+    conv_windows,
     elu,
     linear,
     maxpool1d,
@@ -28,13 +30,17 @@ from gradcheck import probe_gradients, random_tensor
 
 # (x shape, C_out, K, stride, padding): a grid of small cases, each at B=3 and at
 # B=1 (batched=False: a single trial, as a batch of one), one whose taps 0-2 only
-# ever see padding, and the conv layers of a full-size fold (B=72, E=4, T=750,
-# width 8), whose matmuls are large enough for other BLAS kernels
+# ever see padding, three B*L_out column counts at the kernel gradient's block edges,
+# and the conv layers of a full-size fold (B=72, E=4, T=750, width 8), whose matmuls
+# are large enough for other BLAS kernels
 CONV_ORACLE_CASES = [
     pytest.param((3 if batched else 1, 4, 19), 5, k, s, p, id=f"{k}-{s}-{p}-{batched}-19")
     for k in (1, 3, 7) for s in (1, 2) for p in (0, 1, 3) for batched in (True, False)
 ] + [
     pytest.param((3, 4, 2), 5, 7, 1, 3, id="7-1-3-True-2"),
+    pytest.param((3, 4, 80), 5, 3, 1, 1, id="cols-240-tail-only"),
+    pytest.param((4, 4, 128), 5, 3, 1, 1, id="cols-512-no-tail"),
+    pytest.param((5, 4, 100), 5, 3, 1, 1, id="cols-500-block-splits-a-row"),
     pytest.param((72, 4, 750), 8, 7, 2, 3, id="fullsize-stem"),
     pytest.param((72, 8, 375), 8, 3, 2, 1, id="fullsize-block-stride2"),
     pytest.param((72, 8, 188), 8, 3, 1, 1, id="fullsize-block"),
@@ -135,6 +141,31 @@ class TestConv1d:
             for got, want in zip((tape.grad(x), tape.grad(kernels), tape.grad(bias)), expected):
                 np.testing.assert_array_equal(got, want)
 
+    def test_kernel_gradient_under_one_block_is_the_single_product(self):
+        # B*L_out = 240 window columns: the tail alone, which is the unblocked gflat.T @ cols.T
+        x, kernels, bias, rng = _conv_case((3, 4, 80), 5, 3, 1, 1)
+        tape = Tape()
+        out = conv1d(x, kernels, bias, stride=1, padding=1, tape=tape)
+        gout = rng.normal(size=out.shape)
+        tape.backward(gout, output=out)
+        cols = conv_windows(x, 3, 1, 1)
+        gflat = np.ascontiguousarray(gout.transpose(0, 2, 1)).reshape(240, 5)
+        np.testing.assert_array_equal(tape.grad(kernels), (gflat.T @ cols.T).reshape(5, 4, 3))
+
+    def test_forward_allocates_only_its_output(self):
+        # a full-size block conv on prebuilt windows builds no [B*L_out, C_out] product beside its output
+        rng = np.random.default_rng(3)
+        x = random_tensor(rng, (72, 8, 188))
+        kernels, bias = random_tensor(rng, (8, 8, 3)), random_tensor(rng, (8,))
+        cols = conv_windows(x, 3, 1, 1)
+        tracemalloc.start()
+        try:
+            out = conv1d(x, kernels, bias, stride=1, padding=1, windows=cols)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * out.data.nbytes, peak / out.data.nbytes
+
 
 def _conv_case(x_shape, c_out, k, stride, padding):
     rng = np.random.default_rng(100 * k + 10 * stride + padding)
@@ -144,7 +175,8 @@ def _conv_case(x_shape, c_out, k, stride, padding):
 
 
 def _conv1d_forward_oracle(x, kernels, bias, stride, padding):
-    """Output by one [B*L_out, C*K] im2col matmul, the bitwise reference."""
+    """Output by one [C_out, C*K] @ [C*K, L_out] product per sample, plus the bias: the bitwise
+    reference, with windows built apart from conv1d's."""
     b, c, length = x.shape
     c_out, _, k = kernels.shape
     n_out = conv_output_length(length, k, stride, padding)
@@ -152,16 +184,15 @@ def _conv1d_forward_oracle(x, kernels, bias, stride, padding):
     xp[:, :, padding:padding + length] = x
     sb, sc, sl = xp.strides
     windows = np.ascontiguousarray(
-        np.lib.stride_tricks.as_strided(xp, shape=(b, n_out, c, k), strides=(sb, sl * stride, sc, sl))
-    ).reshape(b * n_out, c * k)
-    out = np.empty((b, c_out, n_out))
-    np.add((windows @ kernels.reshape(c_out, c * k).T).reshape(b, n_out, c_out).transpose(0, 2, 1),
-           bias[None, :, None], out=out)
-    return out
+        np.lib.stride_tricks.as_strided(xp, shape=(b, c, k, n_out), strides=(sb, sc, sl, sl * stride))
+    ).reshape(b, c * k, n_out)
+    kflat = kernels.reshape(c_out, c * k)
+    return np.stack([kflat @ windows[i] + bias[:, None] for i in range(b)])
 
 
 def _conv1d_backward_oracle(x, kernels, g, stride, padding):
-    """(gx, gker, gbias) by a per-tap scatter in [B, L, C] layout, the bitwise reference."""
+    """(gx, gker, gbias) by a per-tap scatter in [B, L, C] layout, the bitwise reference. The
+    kernel gradient sums the B*L_out window columns in 256-column blocks, in block order."""
     b, c, length = x.shape
     c_out, _, k = kernels.shape
     n_out = g.shape[2]
@@ -175,7 +206,11 @@ def _conv1d_backward_oracle(x, kernels, g, stride, padding):
     kflat = kernels.reshape(c_out, c * k)
     gbias = g.sum(axis=(0, 2))
     gflat = np.ascontiguousarray(g.transpose(0, 2, 1)).reshape(b * n_out, c_out)
-    gker = (gflat.T @ windows).reshape(c_out, c, k)
+    gker = None
+    for lo in range(0, b * n_out, 256):  # 256-column blocks, added in block order
+        part = gflat[lo:lo + 256].T @ windows[lo:lo + 256]
+        gker = part if gker is None else gker + part
+    gker = gker.reshape(c_out, c, k)
     spread = (gflat @ kflat).reshape(b, n_out, c, k)
     gxp = np.zeros((b, padded_len, c))
     for j in range(k):
