@@ -58,15 +58,6 @@ class SubjectBatch:
     labels: np.ndarray  # [N*b]
     b: int
 
-    def __post_init__(self):
-        if list(self.subject_ids) != sorted(self.subject_ids):
-            raise ValidationError("subject_ids must be ascending")
-        expected = self.b * len(self.subject_ids)
-        if self.trials.shape[0] != expected or self.labels.shape[0] != expected:
-            raise ValidationError(
-                f"batch must hold b*N = {expected} samples, got {self.trials.shape[0]}"
-            )
-
     @property
     def n_subjects(self) -> int:
         return len(self.subject_ids)
@@ -88,7 +79,7 @@ class SubjectBatch:
     def subset(self, positions) -> tuple[Tensor, np.ndarray]:
         """Samples of the subjects at the given positions, in position order."""
         rows = np.concatenate([np.arange(p * self.b, (p + 1) * self.b) for p in positions])
-        return Tensor(self.trials.data[rows], check_finite=False), self.labels[rows]
+        return Tensor(self.trials.data[rows]), self.labels[rows]
 
 
 class SubjectBatcher:
@@ -125,7 +116,7 @@ class SubjectBatcher:
             labels.append(ds.labels[take])
         return SubjectBatch(
             subject_ids=self.subject_ids,
-            trials=Tensor(np.concatenate(chunks), check_finite=False),
+            trials=Tensor(np.concatenate(chunks)),
             labels=np.concatenate(labels),
             b=self.b,
         )

@@ -44,7 +44,7 @@ def predict_classes(model: Model, trials: np.ndarray) -> np.ndarray:
     n = trials.shape[0]
     out = np.empty(n, dtype=np.int64)
     for start in range(0, n, _PREDICT_CHUNK):
-        logits = model.forward(Tensor(trials[start:start + _PREDICT_CHUNK], check_finite=False), tape=None)
+        logits = model.forward(Tensor(trials[start:start + _PREDICT_CHUNK]), tape=None)
         out[start:start + _PREDICT_CHUNK] = np.argmax(logits.data, axis=1)
     return out
 

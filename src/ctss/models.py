@@ -38,8 +38,8 @@ class Conv1d:
     def __init__(self, in_channels: int, out_channels: int, kernel: int, stride: int,
                  padding: int, draw: Draw):
         fan_in = in_channels * kernel
-        self.weight = Tensor(draw((out_channels, in_channels, kernel), fan_in), check_finite=False)
-        self.bias = Tensor(draw((out_channels,), fan_in), check_finite=False)
+        self.weight = Tensor(draw((out_channels, in_channels, kernel), fan_in))
+        self.bias = Tensor(draw((out_channels,), fan_in))
         self.stride = stride
         self.padding = padding
 
@@ -56,8 +56,8 @@ class Conv1d:
 
 class Linear:
     def __init__(self, in_features: int, out_features: int, draw: Draw):
-        self.weight = Tensor(draw((out_features, in_features), in_features), check_finite=False)
-        self.bias = Tensor(draw((out_features,), in_features), check_finite=False)
+        self.weight = Tensor(draw((out_features, in_features), in_features))
+        self.bias = Tensor(draw((out_features,), in_features))
 
     def forward(self, x: Tensor, tape: Tape | None) -> Tensor:
         return T.linear(x, self.weight, self.bias, tape=tape)

@@ -31,7 +31,8 @@ from gradcheck import probe_gradients, random_tensor
 # (x shape, C_out, K, stride, padding): a grid of small cases, each at B=3 and at
 # B=1 (batched=False: a single trial, as a batch of one), one whose taps 0-2 only
 # ever see padding, three B*L_out column counts at the kernel gradient's block edges,
-# and the conv layers of a full-size fold (B=72, E=4, T=750, width 8), whose matmuls
+# a one-channel 1x1 conv whose 32 blocks a pairwise sum over blocks would add in another
+# order, and the conv layers of a full-size fold (B=72, E=4, T=750, width 8), whose matmuls
 # are large enough for other BLAS kernels
 CONV_ORACLE_CASES = [
     pytest.param((3 if batched else 1, 4, 19), 5, k, s, p, id=f"{k}-{s}-{p}-{batched}-19")
@@ -41,6 +42,7 @@ CONV_ORACLE_CASES = [
     pytest.param((3, 4, 80), 5, 3, 1, 1, id="cols-240-tail-only"),
     pytest.param((4, 4, 128), 5, 3, 1, 1, id="cols-512-no-tail"),
     pytest.param((5, 4, 100), 5, 3, 1, 1, id="cols-500-block-splits-a-row"),
+    pytest.param((16, 1, 512), 1, 1, 1, 0, id="one-by-one-32-blocks"),
     pytest.param((72, 4, 750), 8, 7, 2, 3, id="fullsize-stem"),
     pytest.param((72, 8, 375), 8, 3, 2, 1, id="fullsize-block-stride2"),
     pytest.param((72, 8, 188), 8, 3, 1, 1, id="fullsize-block"),
@@ -595,6 +597,24 @@ class TestTape:
         assert probe_gradients(value, tensors, grads, rng, n_probes=20) < 1e-4
 
 
+def _with_nan(shape) -> Tensor:
+    data = np.zeros(shape)
+    data.flat[1] = np.nan
+    return Tensor(data)
+
+
+# each primitive that checks its output, called on an input holding a NaN (softmax: an inf logit)
+NON_FINITE_CALLS = {
+    "conv1d": lambda: conv1d(_with_nan((1, 2, 5)), Tensor(np.ones((1, 2, 3))), Tensor(np.zeros(1))),
+    "elu": lambda: elu(_with_nan((1, 2, 5))),
+    "maxpool1d": lambda: maxpool1d(_with_nan((1, 2, 5)), 2, 2),
+    "adaptive_avg_pool1d": lambda: adaptive_avg_pool1d(_with_nan((1, 2, 5)), 1),
+    "linear": lambda: linear(_with_nan((2, 3)), Tensor(np.ones((4, 3))), Tensor(np.zeros(4))),
+    "add": lambda: add(_with_nan((2, 3)), Tensor(np.ones((2, 3)))),
+    "softmax_cross_entropy": lambda: softmax_cross_entropy(Tensor([[np.inf, 0.0]]), np.array([1])),
+}
+
+
 class TestDeterminismAndFiniteness:
     def test_primitives_bitwise_deterministic(self):
         rng = np.random.default_rng(47)
@@ -606,11 +626,12 @@ class TestDeterminismAndFiniteness:
         np.testing.assert_array_equal(first, second)
         np.testing.assert_array_equal(elu(x).data, elu(x).data)
 
-    def test_non_finite_input_rejected(self):
-        with pytest.raises(NumericError):
-            Tensor(np.array([1.0, np.inf]))
-        with pytest.raises(NumericError):
-            Tensor(np.array([np.nan]))
+    @pytest.mark.parametrize("op", NON_FINITE_CALLS)
+    def test_non_finite_input_raises_naming_the_primitive(self, op):
+        # construction accepts any value; the first primitive that computes from it refuses
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NumericError, match=f"^non-finite values produced by {op}$"):
+                NON_FINITE_CALLS[op]()
 
     def test_overflowing_primitive_raises(self):
         x = Tensor(np.full((1, 2), 1e308))
