@@ -112,14 +112,10 @@ def generate_cohort(config: GeneratorConfig) -> list[SubjectDataset]:
     return cohort
 
 
-def augment_rest_class(ds: SubjectDataset, config: GeneratorConfig) -> SubjectDataset:
-    """Append one freshly drawn rest trial per existing trial, labeled n_imagery_classes.
-
-    Doubles the trial count and adds one class. Original trials are carried
-    over bitwise. Rejects trials whose [E, T] shape differs from the generator
-    config's, and labels other than exactly its imagery classes, each present
-    (so an augmented dataset, which holds the rest class too).
-    """
+def check_augmentable(ds: SubjectDataset, config: GeneratorConfig) -> None:
+    """Refuse what :func:`augment_rest_class` cannot augment: trials whose [E, T] shape differs from
+    the generator config's, and labels other than exactly its imagery classes, each present (so an
+    augmented dataset, which holds the rest class too)."""
     expected = (config.n_electrodes, config.n_timesteps)
     if ds.trials.shape[1:] != expected:
         raise ValidationError(
@@ -133,6 +129,16 @@ def augment_rest_class(ds: SubjectDataset, config: GeneratorConfig) -> SubjectDa
             f"subject {ds.subject_id} has labels {found.tolist()} but generator.n_imagery_classes = "
             f"{rest_label} needs exactly {list(range(rest_label))}, each present"
         )
+
+
+def augment_rest_class(ds: SubjectDataset, config: GeneratorConfig) -> SubjectDataset:
+    """Append one freshly drawn rest trial per existing trial, labeled n_imagery_classes.
+
+    Doubles the trial count and adds one class. Original trials are carried
+    over bitwise. Refuses what :func:`check_augmentable` refuses.
+    """
+    check_augmentable(ds, config)
+    rest_label = config.n_imagery_classes
     offset = subject_offset(config, ds.subject_id)
     sigma = 1.0 / config.snr
     rng = np.random.default_rng(np.random.PCG64(derive_seed(config.seed, "rest", ds.subject_id)))

@@ -34,7 +34,7 @@ from .coteaching import (
     train_coteaching,
     write_selection_log,
 )
-from .data import augment_rest_class, loso_split, train_val_split
+from .data import augment_rest_class, check_augmentable, loso_split, train_val_split
 from .errors import DataFormatError, ValidationError, WorkerError
 from .metrics import evaluate_balanced_accuracy
 from .models import save_checkpoint
@@ -101,7 +101,7 @@ def run_fold(cohort, target_subject_id: int, method: str, model_config: ModelCon
     """Train on everyone but the target, then score on the augmented target."""
     fold_seed = derive_seed(master_seed, "fold", target_subject_id)
     source, test = loso_split(cohort, target_subject_id)
-    test = augment_rest_class(test, generator_config)
+    check_augmentable(test, generator_config)  # refused before training, augmented only after it
     # the augmented source lives only until the split has copied its trials into train and val
     train, val = train_val_split([augment_rest_class(ds, generator_config) for ds in source], val_ratio,
                                  derive_seed(fold_seed, "split"))
@@ -109,7 +109,8 @@ def run_fold(cohort, target_subject_id: int, method: str, model_config: ModelCon
     result = train_coteaching(train, val, model_config, replace(train_config, seed=fold_seed),
                               method=method)
 
-    test_acc = evaluate_balanced_accuracy(result.checkpoint.model, test, model_config.n_classes)
+    test_acc = evaluate_balanced_accuracy(result.checkpoint.model, augment_rest_class(test, generator_config),
+                                          model_config.n_classes)
     record = FoldRecord(target_subject=target_subject_id, method=method,
                         balanced_accuracy=test_acc, best_epoch=result.checkpoint.epoch,
                         seed=fold_seed)

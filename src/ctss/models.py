@@ -78,10 +78,14 @@ class ResidualBlock:
             self.shortcut = None
 
     def forward(self, x: Tensor, tape: Tape | None) -> Tensor:
-        h = self.conv1.forward(x, tape)
+        cols = self.conv1.windows(x)
+        h = self.conv1.forward(x, tape, cols)
         h = T.elu(h, tape=tape)
         h = self.conv2.forward(h, tape)
-        s = self.shortcut.forward(x, tape) if self.shortcut is not None else x
+        s = x
+        if self.shortcut is not None:
+            # conv1's centre tap (k=3, p=1) reads x at l * stride, as the 1x1 shortcut does: its windows, no copy
+            s = self.shortcut.forward(x, tape, cols.reshape(x.shape[1], 3, -1)[:, 1])
         return T.add(h, s, tape=tape)
 
     def parameters(self) -> list[Tensor]:

@@ -184,19 +184,18 @@ def conv_windows(x: Tensor, k: int, stride: int, padding: int) -> np.ndarray:
     return cols
 
 
-def _scatter_taps(spread: np.ndarray, length: int, stride: int, padding: int) -> np.ndarray:
-    """The input gradient [B, C, length] of a window op whose tap j of window l read position
-    ``l * stride + j - padding``, from each tap's share ``spread`` [B, C, K, L_out]."""
-    b, c, k, n_out = spread.shape
-    gx = np.zeros((b, c, length), dtype=np.float64)
+def _scatter_taps(spread: np.ndarray, gx: np.ndarray, stride: int, padding: int) -> None:
+    """Add into ``gx`` [B, C, length] the input gradient of a window op whose tap j of window l
+    read position ``l * stride + j - padding``, from each tap's share ``spread`` [B, C, K, L_out]."""
+    k, n_out = spread.shape[2:]
     # in tap order, so overlapping windows always sum alike
-    for j, (lo, hi, start) in enumerate(_tap_windows(k, stride, padding, length, n_out)):
+    for j, (lo, hi, start) in enumerate(_tap_windows(k, stride, padding, gx.shape[2], n_out)):
         if lo < hi:
             gx[:, :, start:start + stride * (hi - lo):stride] += spread[:, :, j, lo:hi]
-    return gx
 
 
 KGRAD_BLOCK = 256  # window columns per kernel-gradient product
+SPREAD_VALUES = 2 ** 15  # input-gradient spread values built at once, in whole samples (at least one)
 
 
 def _blocked_kernel_grad(gflat: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -209,7 +208,8 @@ def _blocked_kernel_grad(gflat: np.ndarray, cols: np.ndarray) -> np.ndarray:
     # one batched product over the whole blocks, each read as the single product reads its columns
     parts = np.matmul(gflat[:edge].reshape(nb, KGRAD_BLOCK, c_out).transpose(0, 2, 1),
                       cols[:, :edge].reshape(ck, nb, KGRAD_BLOCK).transpose(1, 2, 0))
-    gker = np.add.accumulate(parts)[-1]  # a running sum: the loop's order, unlike a pairwise sum(axis=0)
+    # a running sum: the loop's order, unlike a pairwise sum(axis=0); a copy, so the running sums are freed
+    gker = np.add.accumulate(parts)[-1].copy()
     if edge < n:
         gker += gflat[edge:].T @ cols[:, edge:].T
     return gker
@@ -272,8 +272,14 @@ def conv1d(
             gker = _blocked_kernel_grad(gflat, cols).reshape(c_out, c, k)
             if not tape.wants(xk):
                 return [(kk, gker), (bk, gbias)]
-            spread = np.matmul(kflat.T, gout).reshape(b, c, k, n_out)
-            return [(xk, _scatter_taps(spread, length, stride, padding)), (kk, gker), (bk, gbias)]
+            gx = np.zeros((b, c, length), dtype=np.float64)
+            per = max(1, SPREAD_VALUES // (c * k * n_out))
+            # a few samples' [C_in*K, L_out] products at a time, each the product a whole-batch matmul
+            # builds; unnamed, so each chunk's spread is freed before the next is built
+            for s in range(0, b, per):
+                _scatter_taps(np.matmul(kflat.T, gout[s:s + per]).reshape(-1, c, k, n_out), gx[s:s + per],
+                              stride, padding)
+            return [(xk, gx), (kk, gker), (bk, gbias)]
 
         tape.record(result, back)
     return result
@@ -327,7 +333,9 @@ def maxpool1d(x: Tensor, k: int, stride: int, tape: Optional[Tape] = None) -> Te
 
         def back(gout: np.ndarray):
             spread = np.where(np.arange(k)[:, None] == first, gout[:, :, None], 0.0)
-            return [(xk, _scatter_taps(spread, length, stride, 0))]
+            gx = np.zeros((b, c, length), dtype=np.float64)
+            _scatter_taps(spread, gx, stride, 0)
+            return [(xk, gx)]
 
         tape.record(result, back)
     return result

@@ -373,7 +373,9 @@ def full_size_batch() -> tuple[ModelConfig, Tensor, np.ndarray]:
 
 
 def backward_read_bytes(model: Model, b: int, e: int, t: int) -> int:
-    """Bytes of what a taped forward's backward reads: every conv's windows, every ELU output, the head's arrays."""
+    """Bytes of what a taped forward's backward reads: every conv's windows, every ELU output, the head's arrays.
+
+    A 1x1 shortcut reads a view of its block's conv1 windows, so it adds none."""
     def conv(layer, c: int, length: int) -> tuple[int, int, int]:  # window values, output channels, length
         c_out, _, k = layer.weight.shape
         n_out = conv_output_length(length, k, layer.stride, layer.padding)
@@ -386,8 +388,6 @@ def backward_read_bytes(model: Model, b: int, e: int, t: int) -> int:
         for block in (first, second):
             w1, c1, l1 = conv(block.conv1, c, length)
             values += w1 + b * c1 * l1 + conv(block.conv2, c1, l1)[0]
-            if block.shortcut is not None:
-                values += conv(block.shortcut, c, length)[0]
             c, length = c1, l1
     n_classes = model.head.weight.shape[0]
     # the head's ELU output, the linear input, logits, losses and logit gradients

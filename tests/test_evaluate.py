@@ -17,7 +17,7 @@ from ctss.coteaching import (
     train_coteaching,
     write_selection_log,
 )
-from ctss.data import GeneratorConfig, augment_rest_class, generate_cohort, train_val_split
+from ctss.data import GeneratorConfig, SubjectDataset, augment_rest_class, generate_cohort, train_val_split
 from ctss.errors import ValidationError
 from ctss.evaluate import (
     final_epoch_window,
@@ -326,6 +326,45 @@ class TestRunLoso:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["n_folds"] == 3
         assert summary["method"] == "coteach"
+
+
+class TestRunFold:
+    @staticmethod
+    def spy_on_fold(monkeypatch) -> list[tuple]:
+        events = []
+        augment, train = ctss.evaluate.augment_rest_class, ctss.evaluate.train_coteaching
+
+        def augment_spy(ds, config):
+            events.append(("augment", ds.subject_id))
+            return augment(ds, config)
+
+        def train_spy(*args, **kwargs):
+            events.append(("train",))
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(ctss.evaluate, "augment_rest_class", augment_spy)
+        monkeypatch.setattr(ctss.evaluate, "train_coteaching", train_spy)
+        return events
+
+    def test_target_is_augmented_after_training(self, monkeypatch):
+        gen = toy_generator(n_subjects=3, seed=20)
+        events = self.spy_on_fold(monkeypatch)
+        run_fold(generate_cohort(gen), 1, "coteach", toy_model_config(), CoteachConfig(t_max=1, seed=0), gen,
+                 master_seed=5)
+        assert events == [("augment", 0), ("augment", 2), ("train",), ("augment", 1)]
+
+    @pytest.mark.parametrize("bad", ["labels", "shape"])
+    def test_bad_target_is_refused_before_anything_is_augmented(self, monkeypatch, bad):
+        gen = toy_generator(n_subjects=3, seed=20)
+        cohort = generate_cohort(gen)
+        target = cohort[1]
+        cohort[1] = SubjectDataset(subject_id=1, is_noisy=target.is_noisy,
+                                   trials=target.trials if bad == "labels" else target.trials[:, :, 1:],
+                                   labels=target.labels if bad == "shape" else np.zeros_like(target.labels))
+        events = self.spy_on_fold(monkeypatch)
+        with pytest.raises(ValidationError, match="subject 1 has"):
+            run_fold(cohort, 1, "coteach", toy_model_config(), CoteachConfig(t_max=1, seed=0), gen, master_seed=5)
+        assert events == []
 
 
 class TestSelectionFrequencyReport:

@@ -10,11 +10,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import ctss.tensor
 from ctss.errors import DataFormatError, ValidationError
 from ctss.models import (
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
     ModelConfig,
+    ResidualBlock,
     build_mini_resnet1d,
     load_checkpoint,
     per_sample_losses,
@@ -22,6 +24,7 @@ from ctss.models import (
 )
 from ctss.tensor import Tape, Tensor, maxpool1d, softmax_cross_entropy
 from gradcheck import probe_gradients
+from test_coteaching import closure_arrays
 
 
 def small_config(**overrides):
@@ -150,6 +153,40 @@ class TestResnetBuilder:
             return float(losses.data.mean())
 
         assert probe_gradients(value, [batch], [full.grad(batch)], rng, n_probes=20) < 1e-4
+
+
+def seeded_draw(seed: int):
+    rng = np.random.default_rng(seed)
+    return lambda shape, fan_in: rng.uniform(-1.0, 1.0, size=shape)
+
+
+class TestShortcutWindows:
+    @pytest.mark.parametrize("length", [31, 32])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_conv1_centre_tap_rows_are_the_shortcut_windows(self, stride, length):
+        block = ResidualBlock(3, 5, stride, seeded_draw(0))
+        x = Tensor(np.random.default_rng(length).normal(size=(4, 3, length)))
+        centre = block.conv1.windows(x).reshape(3, 3, -1)[:, 1]
+        np.testing.assert_array_equal(centre, block.shortcut.windows(x))
+
+    def test_shortcut_reads_conv1_windows_built_once(self, monkeypatch):
+        block = ResidualBlock(3, 5, 2, seeded_draw(1))
+        x = Tensor(np.random.default_rng(2).normal(size=(4, 3, 32)))
+        built = []
+        original = ctss.tensor.conv_windows
+
+        def spy(*args):
+            built.append(original(*args))
+            return built[-1]
+
+        monkeypatch.setattr(ctss.tensor, "conv_windows", spy)
+        tape = Tape()
+        block.forward(x, tape)
+        assert len(built) == 2  # conv1's (the shortcut's too) and conv2's
+        conv1_cols = built[0]
+        shortcut_back = tape._entries[3][1]  # conv1, elu, conv2, shortcut, add
+        (cols,) = [a for a in closure_arrays(shortcut_back).values() if a.shape == (3, 4 * 16)]  # [C_in, B*L_out]
+        assert np.shares_memory(cols, conv1_cols)
 
 
 class TestPerSampleLosses:

@@ -12,6 +12,7 @@ import pytest
 from ctss.blas import single_blas_thread
 from ctss.errors import DimensionError, NumericError, StateError, ValidationError
 from ctss.tensor import (
+    SPREAD_VALUES,
     Tape,
     Tensor,
     adaptive_avg_pool1d,
@@ -32,8 +33,9 @@ from gradcheck import probe_gradients, random_tensor
 # B=1 (batched=False: a single trial, as a batch of one), one whose taps 0-2 only
 # ever see padding, three B*L_out column counts at the kernel gradient's block edges,
 # a one-channel 1x1 conv whose 32 blocks a pairwise sum over blocks would add in another
-# order, and the conv layers of a full-size fold (B=72, E=4, T=750, width 8), whose matmuls
-# are large enough for other BLAS kernels
+# order, the conv layers of a full-size fold (B=72, E=4, T=750, width 8), whose matmuls
+# are large enough for other BLAS kernels, and two whose batch of 37 leaves a short last
+# chunk of samples in the input gradient (7 per chunk at stride 1, 14 at stride 2)
 CONV_ORACLE_CASES = [
     pytest.param((3 if batched else 1, 4, 19), 5, k, s, p, id=f"{k}-{s}-{p}-{batched}-19")
     for k in (1, 3, 7) for s in (1, 2) for p in (0, 1, 3) for batched in (True, False)
@@ -47,6 +49,8 @@ CONV_ORACLE_CASES = [
     pytest.param((72, 8, 375), 8, 3, 2, 1, id="fullsize-block-stride2"),
     pytest.param((72, 8, 188), 8, 3, 1, 1, id="fullsize-block"),
     pytest.param((72, 8, 375), 8, 1, 2, 0, id="fullsize-shortcut"),
+    pytest.param((37, 8, 188), 8, 3, 1, 1, id="chunk-tail-stride1"),
+    pytest.param((37, 8, 188), 8, 3, 2, 1, id="chunk-tail-stride2"),
 ]
 
 
@@ -168,6 +172,43 @@ class TestConv1d:
             tracemalloc.stop()
         assert peak <= 1.25 * out.data.nbytes, peak / out.data.nbytes
 
+    def test_backward_builds_the_input_gradient_a_chunk_of_samples_at_a_time(self):
+        # a full-size stride-2 block conv: 7 samples' [C_in*K, L_out] spread at a time, not all 72 (2.6 MB)
+        x, kernels, bias, rng = _conv_case((72, 8, 375), 8, 3, 2, 1)
+        tape = Tape()
+        out = conv1d(x, kernels, bias, stride=2, padding=1, tape=tape)
+        gout = rng.normal(size=out.shape)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tape.backward(gout, output=out)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        gx, gflat = x.data.nbytes, gout.nbytes
+        chunk = (SPREAD_VALUES // (8 * 3 * 188)) * 8 * 3 * 188 * 8
+        # the slack covers numpy's iteration buffers in the scatter (3 x 8192 values) and the small arrays
+        assert peak <= gx + gflat + chunk + 2 ** 18, (peak, gx + gflat + chunk)
+
+    @pytest.mark.parametrize("x_shape", [(72, 4, 32), (72, 8, 375)], ids=["acceptance", "fullsize"])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_centre_tap_windows_give_the_1x1_conv_bits(self, x_shape, stride):
+        # a residual block's 1x1 shortcut reads the centre-tap rows of its conv1's k=3, p=1 windows
+        x, kernels, bias, rng = _conv_case(x_shape, 8, 1, stride, 0)
+        centre = conv_windows(x, 3, stride, 1).reshape(x_shape[1], 3, -1)[:, 1]
+        gout = None
+        for pinned in (False, True):
+            with single_blas_thread() if pinned else contextlib.nullcontext():
+                runs = []
+                for windows in (None, centre):
+                    tape = Tape()
+                    out = conv1d(x, kernels, bias, stride=stride, padding=0, tape=tape, windows=windows)
+                    gout = rng.normal(size=out.shape) if gout is None else gout
+                    tape.backward(gout, output=out)
+                    runs.append([out.data] + [tape.grad(t) for t in (x, kernels, bias)])
+            for own, view in zip(*runs):
+                np.testing.assert_array_equal(view, own)
+
 
 def _conv_case(x_shape, c_out, k, stride, padding):
     rng = np.random.default_rng(100 * k + 10 * stride + padding)
@@ -194,7 +235,9 @@ def _conv1d_forward_oracle(x, kernels, bias, stride, padding):
 
 def _conv1d_backward_oracle(x, kernels, g, stride, padding):
     """(gx, gker, gbias) by a per-tap scatter in [B, L, C] layout, the bitwise reference. The
-    kernel gradient sums the B*L_out window columns in 256-column blocks, in block order."""
+    kernel gradient sums the B*L_out window columns in 256-column blocks, in block order. Its
+    products run on one BLAS thread: threaded, OpenBLAS's Haswell kernels sum the rows at the
+    threads' split of the tall ``gflat @ kflat`` in another order (B = 37, L_out = 188)."""
     b, c, length = x.shape
     c_out, _, k = kernels.shape
     n_out = g.shape[2]
@@ -209,11 +252,12 @@ def _conv1d_backward_oracle(x, kernels, g, stride, padding):
     gbias = g.sum(axis=(0, 2))
     gflat = np.ascontiguousarray(g.transpose(0, 2, 1)).reshape(b * n_out, c_out)
     gker = None
-    for lo in range(0, b * n_out, 256):  # 256-column blocks, added in block order
-        part = gflat[lo:lo + 256].T @ windows[lo:lo + 256]
-        gker = part if gker is None else gker + part
+    with single_blas_thread():
+        for lo in range(0, b * n_out, 256):  # 256-column blocks, added in block order
+            part = gflat[lo:lo + 256].T @ windows[lo:lo + 256]
+            gker = part if gker is None else gker + part
+        spread = (gflat @ kflat).reshape(b, n_out, c, k)
     gker = gker.reshape(c_out, c, k)
-    spread = (gflat @ kflat).reshape(b, n_out, c, k)
     gxp = np.zeros((b, padded_len, c))
     for j in range(k):
         gxp[:, j:j + stride * n_out:stride, :] += spread[:, :, :, j]
