@@ -196,6 +196,11 @@ def _scatter_taps(spread: np.ndarray, gx: np.ndarray, stride: int, padding: int)
 
 KGRAD_BLOCK = 256  # window columns per kernel-gradient product
 SPREAD_VALUES = 2 ** 15  # input-gradient spread values built at once, in whole samples (at least one)
+# A taped conv1d keeps the windows it built only below this many values; at or above, it keeps its
+# input (K/stride times smaller, and often an ELU output the tape holds anyway) and backward builds
+# the windows again for the kernel gradient, their one reader. Below, rebuilding would save at most
+# 512 KiB per conv for one more copy per backward, at sizes whose time goes to Python dispatch.
+KEPT_WINDOW_VALUES = 2 ** 16
 
 
 def _blocked_kernel_grad(gflat: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -233,7 +238,10 @@ def conv1d(
     ``x`` is [B, C_in, L]; ``kernels`` is [C_out, C_in, K]; ``bias`` is
     [C_out]. Output length is floor((L + 2p - K)/s) + 1. ``windows`` is
     :func:`conv_windows` of ``x`` for this geometry, when the caller already
-    built it for another conv over the same input.
+    built it for another conv over the same input. A taped call keeps the
+    windows for its kernel gradient, unless it built them itself and they
+    hold KEPT_WINDOW_VALUES values or more: then it keeps ``x``'s array and
+    backward builds them again.
     """
     if x.ndim != 3:
         raise DimensionError(f"conv1d expects a [B, C, L] input, got shape {tuple(x.shape)}")
@@ -264,12 +272,17 @@ def conv1d(
 
     if tape is not None:
         xk, kk, bk = x.key, kernels.key, bias.key
+        # windows a caller passed in stay on the tape: other convs (the other network's stem) read them too
+        rebuild = windows is None and cols.size >= KEPT_WINDOW_VALUES
+        kept = x.data if rebuild else cols
 
         def back(gout: np.ndarray):
             gbias = gout.sum(axis=(0, 2))
-            # gflat stays the reduction operand: the product in the other orientation sums in another order
-            gflat = np.ascontiguousarray(gout.transpose(0, 2, 1)).reshape(b * n_out, c_out)
-            gker = _blocked_kernel_grad(gflat, cols).reshape(c_out, c, k)
+            # gflat stays the reduction operand: the product in the other orientation sums in another order.
+            # It and rebuilt windows are unnamed, so both are freed before the input gradient is built.
+            gker = _blocked_kernel_grad(np.ascontiguousarray(gout.transpose(0, 2, 1)).reshape(b * n_out, c_out),
+                                        conv_windows(Tensor(kept), k, stride, padding) if rebuild else kept
+                                        ).reshape(c_out, c, k)
             if not tape.wants(xk):
                 return [(kk, gker), (bk, gbias)]
             gx = np.zeros((b, c, length), dtype=np.float64)

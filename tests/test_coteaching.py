@@ -1,6 +1,7 @@
 """Batching, rate schedule, subject selection, cross-updates, and full training."""
 
 import contextlib
+import dataclasses
 import itertools
 import math
 import threading
@@ -29,7 +30,7 @@ from ctss.data import GeneratorConfig, augment_rest_class, generate_cohort, trai
 from ctss.errors import NumericError, ValidationError
 from ctss.models import Model, ModelConfig, build_mini_resnet1d, save_checkpoint
 from ctss.optim import AdamState, adam_step
-from ctss.tensor import Tape, Tensor, conv_output_length, softmax_cross_entropy
+from ctss.tensor import KEPT_WINDOW_VALUES, Tape, Tensor, conv_output_length, softmax_cross_entropy
 
 
 def toy_cohort(n_subjects=3, trials_per_class=6, seed=0, noisy=()):
@@ -373,22 +374,35 @@ def full_size_batch() -> tuple[ModelConfig, Tensor, np.ndarray]:
 
 
 def backward_read_bytes(model: Model, b: int, e: int, t: int) -> int:
-    """Bytes of what a taped forward's backward reads: every conv's windows, every ELU output, the head's arrays.
+    """Bytes that a taped forward over a live batch [b, e, t] keeps for its backward.
 
-    A 1x1 shortcut reads a view of its block's conv1 windows, so it adds none."""
+    A conv keeps the windows it built below KEPT_WINDOW_VALUES values and its input at or above. The
+    stem's input is the batch and a conv2's is an ELU output, both held already; a block's conv1 and
+    1x1 shortcut read one input, kept once. Every ELU output, each max pool's int64 argmax and the
+    head's arrays are kept too."""
     def conv(layer, c: int, length: int) -> tuple[int, int, int]:  # window values, output channels, length
         c_out, _, k = layer.weight.shape
         n_out = conv_output_length(length, k, layer.stride, layer.padding)
         return c * k * b * n_out, c_out, n_out
 
+    def kept(windows: int) -> int:  # the windows a conv keeps, none when it keeps its input
+        return windows if windows < KEPT_WINDOW_VALUES else 0
+
     windows, c, length = conv(model.stem, e, t)
-    values = windows + b * c * length  # the stem's windows and ELU output
+    values = kept(windows) + b * c * length  # and the stem's ELU output
+    input_held = True  # the first block reads the stem's ELU output
     for first, second, pool in model.stages:
-        assert not pool  # no argmax to count
         for block in (first, second):
             w1, c1, l1 = conv(block.conv1, c, length)
-            values += w1 + b * c1 * l1 + conv(block.conv2, c1, l1)[0]
-            c, length = c1, l1
+            reads_input = [w1] + ([conv(block.shortcut, c, length)[0]] if block.shortcut else [])
+            values += sum(kept(w) for w in reads_input)
+            if not input_held and max(reads_input) >= KEPT_WINDOW_VALUES:
+                values += b * c * length
+            values += b * c1 * l1 + kept(conv(block.conv2, c1, l1)[0])  # conv1's ELU output, conv2's windows
+            c, length, input_held = c1, l1, False  # the block's output is an add's, which nothing keeps
+        if pool:
+            length = conv_output_length(length, 4, 4, 0)
+            values += b * c * length  # the pool's argmax
     n_classes = model.head.weight.shape[0]
     # the head's ELU output, the linear input, logits, losses and logit gradients
     values += b * c * length + b * c + b * n_classes + b + b * n_classes
@@ -400,27 +414,38 @@ def closure_arrays(fn) -> dict[int, np.ndarray]:
             if isinstance(cell.cell_contents, np.ndarray)}
 
 
+def assert_taped_forward_keeps_only_what_backward_reads(model_config: ModelConfig) -> None:
+    _, trials, labels = full_size_batch()
+    model = build_mini_resnet1d(model_config)
+    model.forward(trials)  # caches filled outside the measurement
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        forward = ctss.coteaching._taped_forward(model, trials, labels)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    expected = backward_read_bytes(model, *trials.shape)
+    # the slack covers the tape's Python objects; the smallest kept array is larger (73,728 bytes:
+    # the four-stage network's last pool argmax)
+    assert expected <= held <= expected + 2 ** 16, (held, expected)
+    assert forward.losses.shape == labels.shape
+
+
 class TestStepMemory:
     def test_taped_forward_keeps_only_what_backward_reads(self):
-        model_config, trials, labels = full_size_batch()
-        model = build_mini_resnet1d(model_config)
-        model.forward(trials)  # caches filled outside the measurement
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            forward = ctss.coteaching._taped_forward(model, trials, labels)
-            held = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
-        expected = backward_read_bytes(model, *trials.shape)
-        # the slack covers the tape's Python objects; one more activation would be 0.87 MB
-        assert expected <= held <= expected + 2 ** 16, (held, expected)
-        assert forward.losses.shape == labels.shape
+        assert_taped_forward_keeps_only_what_backward_reads(full_size_batch()[0])
+
+    def test_four_stage_taped_forward_keeps_only_what_backward_reads(self):
+        # max pools, and convs on both sides of KEPT_WINDOW_VALUES (stage 4's shortcut keeps its windows)
+        assert_taped_forward_keeps_only_what_backward_reads(
+            dataclasses.replace(full_size_batch()[0], width_base=16, n_blocks=4))
 
     def test_networks_share_one_stem_window_array(self, monkeypatch):
+        # 4 x 200 samples: 179,200 stem window values, which a stem building its own would not keep
         cohort, _ = toy_cohort(n_subjects=4)
         state = make_state(toy_model_config(), CoteachConfig(seed=17))
-        batch = SubjectBatcher(cohort, 3, np.random.default_rng(2)).next_batch()
+        batch = SubjectBatcher(cohort, 200, np.random.default_rng(2)).next_batch()
         stems = []
         original = ctss.coteaching._masked_update
 
@@ -434,7 +459,10 @@ class TestStepMemory:
         shared = [a for key, a in f_arrays.items() if key in g_arrays]
         _, e, t = batch.trials.shape
         assert [a.shape for a in shared] == [(e * 7, batch.total_samples * conv_output_length(t, 7, 2, 3))]
+        assert shared[0].size >= KEPT_WINDOW_VALUES
         assert not shared[0].flags.writeable
+        for model, arrays in zip((state.model_f, state.model_g), stems):  # beside them, only the kernels
+            assert [np.shares_memory(a, model.stem.weight.data) for a in arrays.values() if a is not shared[0]] == [True]
 
 
 class TestTrainCoteaching:

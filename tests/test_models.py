@@ -10,7 +10,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import ctss.tensor
 from ctss.errors import DataFormatError, ValidationError
 from ctss.models import (
     CHECKPOINT_MAGIC,
@@ -169,24 +168,21 @@ class TestShortcutWindows:
         centre = block.conv1.windows(x).reshape(3, 3, -1)[:, 1]
         np.testing.assert_array_equal(centre, block.shortcut.windows(x))
 
-    def test_shortcut_reads_conv1_windows_built_once(self, monkeypatch):
+    @pytest.mark.parametrize("batch", [4, 2048])
+    def test_shortcut_keeps_its_own_windows_or_the_block_input(self, batch):
+        # no view of conv1's windows, which would keep all of them alive: at 4 samples each conv keeps
+        # the windows it built, at 2048 (294,912 and 98,304 window values) both keep the block input
         block = ResidualBlock(3, 5, 2, seeded_draw(1))
-        x = Tensor(np.random.default_rng(2).normal(size=(4, 3, 32)))
-        built = []
-        original = ctss.tensor.conv_windows
-
-        def spy(*args):
-            built.append(original(*args))
-            return built[-1]
-
-        monkeypatch.setattr(ctss.tensor, "conv_windows", spy)
+        x = Tensor(np.random.default_rng(2).normal(size=(batch, 3, 32)))
         tape = Tape()
         block.forward(x, tape)
-        assert len(built) == 2  # conv1's (the shortcut's too) and conv2's
-        conv1_cols = built[0]
-        shortcut_back = tape._entries[3][1]  # conv1, elu, conv2, shortcut, add
-        (cols,) = [a for a in closure_arrays(shortcut_back).values() if a.shape == (3, 4 * 16)]  # [C_in, B*L_out]
-        assert np.shares_memory(cols, conv1_cols)
+        kept = [[a for a in closure_arrays(tape._entries[i][1]).values() if not np.shares_memory(a, conv.weight.data)]
+                for i, conv in ((0, block.conv1), (3, block.shortcut))]  # conv1, elu, conv2, shortcut, add
+        if batch == 4:
+            assert [[a.shape for a in arrays] for arrays in kept] == [[(9, 4 * 16)], [(3, 4 * 16)]]
+            assert not np.shares_memory(*(arrays[0] for arrays in kept))
+        else:
+            assert [[a is x.data for a in arrays] for arrays in kept] == [[True], [True]]
 
 
 class TestPerSampleLosses:

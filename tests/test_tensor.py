@@ -12,6 +12,7 @@ import pytest
 from ctss.blas import single_blas_thread
 from ctss.errors import DimensionError, NumericError, StateError, ValidationError
 from ctss.tensor import (
+    KEPT_WINDOW_VALUES,
     SPREAD_VALUES,
     Tape,
     Tensor,
@@ -27,6 +28,7 @@ from ctss.tensor import (
     softmax_cross_entropy,
 )
 from gradcheck import probe_gradients, random_tensor
+from test_coteaching import closure_arrays
 
 
 # (x shape, C_out, K, stride, padding): a grid of small cases, each at B=3 and at
@@ -34,8 +36,10 @@ from gradcheck import probe_gradients, random_tensor
 # ever see padding, three B*L_out column counts at the kernel gradient's block edges,
 # a one-channel 1x1 conv whose 32 blocks a pairwise sum over blocks would add in another
 # order, the conv layers of a full-size fold (B=72, E=4, T=750, width 8), whose matmuls
-# are large enough for other BLAS kernels, and two whose batch of 37 leaves a short last
-# chunk of samples in the input gradient (7 per chunk at stride 1, 14 at stride 2)
+# are large enough for other BLAS kernels, two whose batch of 37 leaves a short last
+# chunk of samples in the input gradient (7 per chunk at stride 1, 14 at stride 2), and
+# two one sample apart whose taped windows (65,280 and 65,664 values) sit on either side
+# of KEPT_WINDOW_VALUES: the first keeps them, the second rebuilds them in backward
 CONV_ORACLE_CASES = [
     pytest.param((3 if batched else 1, 4, 19), 5, k, s, p, id=f"{k}-{s}-{p}-{batched}-19")
     for k in (1, 3, 7) for s in (1, 2) for p in (0, 1, 3) for batched in (True, False)
@@ -51,6 +55,8 @@ CONV_ORACLE_CASES = [
     pytest.param((72, 8, 375), 8, 1, 2, 0, id="fullsize-shortcut"),
     pytest.param((37, 8, 188), 8, 3, 1, 1, id="chunk-tail-stride1"),
     pytest.param((37, 8, 188), 8, 3, 2, 1, id="chunk-tail-stride2"),
+    pytest.param((16, 8, 340), 8, 3, 2, 1, id="windows-kept"),
+    pytest.param((16, 8, 341), 8, 3, 2, 1, id="windows-rebuilt"),
 ]
 
 
@@ -173,7 +179,8 @@ class TestConv1d:
         assert peak <= 1.25 * out.data.nbytes, peak / out.data.nbytes
 
     def test_backward_builds_the_input_gradient_a_chunk_of_samples_at_a_time(self):
-        # a full-size stride-2 block conv: 7 samples' [C_in*K, L_out] spread at a time, not all 72 (2.6 MB)
+        # a full-size stride-2 block conv: 7 samples' [C_in*K, L_out] spread at a time, not all 72 (2.6 MB),
+        # after the rebuilt windows and gflat, which only the kernel gradient reads, are freed
         x, kernels, bias, rng = _conv_case((72, 8, 375), 8, 3, 2, 1)
         tape = Tape()
         out = conv1d(x, kernels, bias, stride=2, padding=1, tape=tape)
@@ -185,15 +192,32 @@ class TestConv1d:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        gx, gflat = x.data.nbytes, gout.nbytes
+        gx, gflat, cols = x.data.nbytes, gout.nbytes, 8 * 3 * 72 * 188 * 8
         chunk = (SPREAD_VALUES // (8 * 3 * 188)) * 8 * 3 * 188 * 8
-        # the slack covers numpy's iteration buffers in the scatter (3 x 8192 values) and the small arrays
-        assert peak <= gx + gflat + chunk + 2 ** 18, (peak, gx + gflat + chunk)
+        bound = max(gflat + cols, gx + chunk)
+        # the slack covers the kernel gradient's block products and running sums, numpy's iteration
+        # buffers in the scatter (3 x 8192 values) and the small arrays
+        assert peak <= bound + 2 ** 18, (peak, bound)
+
+    @pytest.mark.parametrize("length, kept", [(340, "windows"), (341, "input")])
+    def test_taped_conv_keeps_windows_below_kept_window_values_and_its_input_from_there(self, length, kept):
+        x, kernels, bias, _ = _conv_case((16, 8, length), 8, 3, 2, 1)
+        cols = conv_windows(x, 3, 2, 1)  # [C_in*K, B*L_out]: 65,280 values at L 340, 65,664 at 341
+        assert (cols.size >= KEPT_WINDOW_VALUES) == (kept == "input")
+        tape = Tape()
+        conv1d(x, kernels, bias, stride=2, padding=1, tape=tape)
+        arrays = [a for a in closure_arrays(tape._entries[0][1]).values()
+                  if not np.shares_memory(a, kernels.data)]
+        if kept == "input":
+            assert [a is x.data for a in arrays] == [True]
+        else:
+            assert [a.shape for a in arrays] == [cols.shape]
+            np.testing.assert_array_equal(arrays[0], cols)
 
     @pytest.mark.parametrize("x_shape", [(72, 4, 32), (72, 8, 375)], ids=["acceptance", "fullsize"])
     @pytest.mark.parametrize("stride", [1, 2])
     def test_centre_tap_windows_give_the_1x1_conv_bits(self, x_shape, stride):
-        # a residual block's 1x1 shortcut reads the centre-tap rows of its conv1's k=3, p=1 windows
+        # the centre-tap rows of a k=3, p=1 conv's windows are the 1x1 windows of the same stride, bit for bit
         x, kernels, bias, rng = _conv_case(x_shape, 8, 1, stride, 0)
         centre = conv_windows(x, 3, stride, 1).reshape(x_shape[1], 3, -1)[:, 1]
         gout = None
