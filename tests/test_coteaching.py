@@ -636,6 +636,38 @@ class TestThreadedPair:
         assert set(threading.enumerate()) == threads
         assert blas_thread_count() == counts
 
+    def test_heap_policy_is_set_before_the_helper_thread_exists(self, monkeypatch):
+        # a thread keeps the malloc arena it first allocates from, so the one-arena cap must come first
+        force_threads(monkeypatch)
+        caller, events = threading.get_ident(), []
+        original_policy, original_helper = ctss.coteaching.keep_freed_memory, ctss.coteaching._network_g_helper
+
+        def policy():
+            helper_threads = [t for t in threading.enumerate() if t.name.startswith("ctss-g")]
+            events.append(("policy", len(helper_threads)))
+            return original_policy()
+
+        @contextlib.contextmanager
+        def helper_spy(enabled):
+            with original_helper(enabled) as helper:
+                events.append(("helper", helper is not None))
+                submit = helper.submit
+
+                def spy_submit(call):
+                    def run():
+                        events.append(("run", threading.get_ident() != caller))
+                        return call()
+                    return submit(run)
+
+                helper.submit = spy_submit
+                yield helper
+
+        monkeypatch.setattr(ctss.coteaching, "keep_freed_memory", policy)
+        monkeypatch.setattr(ctss.coteaching, "_network_g_helper", helper_spy)
+        train_coteaching(*self.fold_data())
+        assert events[:3] == [("policy", 0), ("helper", True), ("run", True)]
+        assert events.count(("policy", 0)) == 1
+
     def test_serial_when_the_pin_fails(self, monkeypatch):
         monkeypatch.setattr(ctss.coteaching, "_THREAD_MIN_VALUES", 0)
         monkeypatch.setattr(ctss.coteaching, "single_blas_thread", lambda: contextlib.nullcontext(None))
