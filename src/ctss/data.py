@@ -112,6 +112,12 @@ def generate_cohort(config: GeneratorConfig) -> list[SubjectDataset]:
     return cohort
 
 
+def _label_set(labels: np.ndarray) -> list[int]:
+    """The distinct labels, ascending, as Python ints: ``np.unique``'s values without its first call's
+    import of ``numpy.ma``, and with nothing allocated in proportion to the largest label."""
+    return sorted(set(labels.tolist()))
+
+
 def check_augmentable(ds: SubjectDataset, config: GeneratorConfig) -> None:
     """Refuse what :func:`augment_rest_class` cannot augment: trials whose [E, T] shape differs from
     the generator config's, and labels other than exactly its imagery classes, each present (so an
@@ -123,10 +129,10 @@ def check_augmentable(ds: SubjectDataset, config: GeneratorConfig) -> None:
             f"the generator config gives [n_electrodes, n_timesteps] = {list(expected)}"
         )
     rest_label = config.n_imagery_classes
-    found = np.unique(ds.labels)
-    if not np.array_equal(found, np.arange(rest_label)):
+    found = _label_set(ds.labels)
+    if found != list(range(rest_label)):
         raise ValidationError(
-            f"subject {ds.subject_id} has labels {found.tolist()} but generator.n_imagery_classes = "
+            f"subject {ds.subject_id} has labels {found} but generator.n_imagery_classes = "
             f"{rest_label} needs exactly {list(range(rest_label))}, each present"
         )
 
@@ -172,11 +178,11 @@ def train_val_split(source: list[SubjectDataset], ratio: float, seed: int
     for ds in source:
         rng = np.random.default_rng(np.random.PCG64(derive_seed(seed, "split", ds.subject_id)))
         train_idx, val_idx = [], []
-        for cls in np.unique(ds.labels):
+        for cls in _label_set(ds.labels):
             idx = np.flatnonzero(ds.labels == cls)
             if idx.size < 2:
                 raise ValidationError(
-                    f"subject {ds.subject_id} class {int(cls)} has {idx.size} trial(s); "
+                    f"subject {ds.subject_id} class {cls} has {idx.size} trial(s); "
                     "need at least 2 to split"
                 )
             perm = rng.permutation(idx)

@@ -119,13 +119,23 @@ def run_fold(cohort, target_subject_id: int, method: str, model_config: ModelCon
                       epoch_stats=result.logs.epoch_stats)
 
 
-def _fold_task(args) -> FoldOutput:
+_worker_cohort: list | None = None  # a fold worker's cohort, set once by _init_fold_worker
+
+
+def _init_fold_worker(cohort) -> None:
+    """Give a fold worker the cohort once: inherited without a pickle under ``fork``, else pickled once."""
+    global _worker_cohort
+    _worker_cohort = cohort
+
+
+def _fold_task(task) -> FoldOutput:
     """One fold in a worker process, on one BLAS thread and so without co-teaching's helper thread.
 
-    The workers already fill the cores; see ``coteaching._network_g_helper``.
+    ``task`` is :func:`run_fold`'s arguments after the cohort, which the worker already holds. The
+    workers already fill the cores; see ``coteaching._network_g_helper``.
     """
     with single_blas_thread():
-        return run_fold(*args)
+        return run_fold(_worker_cohort, *task)
 
 
 def run_loso(cohort, method: str, model_config: ModelConfig, train_config: CoteachConfig,
@@ -137,13 +147,15 @@ def run_loso(cohort, method: str, model_config: ModelConfig, train_config: Cotea
     if parallel_folds < 1:
         raise ValidationError(f"--parallel-folds must be >= 1, got {parallel_folds}")
     targets = [ds.subject_id for ds in cohort]
-    tasks = [(cohort, sid, method, model_config, train_config, generator_config,
-              master_seed, val_ratio) for sid in targets]
+    # the cohort goes to each worker once, not with every task
+    tasks = [(sid, method, model_config, train_config, generator_config, master_seed, val_ratio)
+             for sid in targets]
     outputs: list[FoldOutput] = []
     # forked workers all start up front, so never more than folds
-    with (ProcessPoolExecutor(max_workers=min(parallel_folds, len(tasks)), mp_context=_POOL_CONTEXT)
+    with (ProcessPoolExecutor(max_workers=min(parallel_folds, len(tasks)), mp_context=_POOL_CONTEXT,
+                              initializer=_init_fold_worker, initargs=(cohort,))
           if parallel_folds > 1 else nullcontext()) as pool:
-        folds = pool.map(_fold_task, tasks) if pool else (run_fold(*task) for task in tasks)
+        folds = pool.map(_fold_task, tasks) if pool else (run_fold(cohort, *task) for task in tasks)
         try:
             for out in folds:
                 log.info("fold %d/%d: subject %d, %s, balanced accuracy %.4f, best epoch %d", len(outputs) + 1,

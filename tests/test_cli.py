@@ -3,8 +3,10 @@
 import configparser
 import dataclasses
 import hashlib
+import io
 import json
 import os
+import pickle
 import re
 import signal
 import subprocess
@@ -20,7 +22,7 @@ from ctss.blas import openblas_core
 from ctss.cli import main, usable_cpus
 from ctss.config import ExperimentConfig, load_config
 from ctss.coteaching import read_selection_log
-from ctss.data import GeneratorConfig, generate_cohort, load_raw, save_raw
+from ctss.data import GeneratorConfig, SubjectDataset, generate_cohort, load_raw, save_raw
 from test_data import add_empty_subject
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -507,6 +509,31 @@ class TestRun:
         assert sorted(pids) == [0, 1, 2]
         assert (os.getpid() in pids.values()) == (usable_cpus() == 1)
 
+    def test_fold_tasks_carry_the_target_and_settings_not_the_cohort(self, toy_config, tmp_path, monkeypatch):
+        held, sizes = [], []
+
+        class CohortSpotter(pickle.Pickler):
+            def persistent_id(self, obj):  # sees every object the task pickles, at any depth
+                if isinstance(obj, SubjectDataset):
+                    held.append(obj.subject_id)
+                return None  # pickled as usual
+
+        class RecordingPool(ctss.evaluate.ProcessPoolExecutor):
+            def map(self, fn, tasks, **kwargs):
+                tasks = list(tasks)
+                for task in tasks:
+                    buf = io.BytesIO()
+                    CohortSpotter(buf).dump(task)
+                    sizes.append(len(buf.getvalue()))
+                return super().map(fn, tasks, **kwargs)
+
+        monkeypatch.setattr(ctss.evaluate, "ProcessPoolExecutor", RecordingPool)
+        serial, pooled = tmp_path / "serial", tmp_path / "pooled"
+        assert main(["run", "--config", str(toy_config), "--out", str(pooled), "--parallel-folds", "2"]) == 0
+        assert held == [] and len(sizes) == 3 and max(sizes) < 2048, sizes
+        assert main(["run", "--config", str(toy_config), "--out", str(serial), "--parallel-folds", "1"]) == 0
+        assert_same_run(serial, pooled)
+
     def test_dead_fold_worker_exits_2_naming_unfinished_folds(self, toy_config, tmp_path, capsys, monkeypatch):
         run_fold, parent = ctss.evaluate.run_fold, os.getpid()
 
@@ -619,16 +646,16 @@ class TestReport:
         assert report_path.read_text() == capsys.readouterr().out
 
 
-def loaded_in_fresh_interpreter(code: str) -> tuple[set[str], bool]:
-    """The ctss modules a new interpreter has loaded after running ``code``, and whether numpy is among them."""
+def loaded_in_fresh_interpreter(code: str, module: str = "numpy") -> tuple[set[str], bool]:
+    """The ctss modules a new interpreter has loaded after running ``code``, and whether ``module`` is among them."""
     src = str(Path(ctss.evaluate.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     probe = code + ("\nimport json, sys\nprint(json.dumps([sorted(m for m in sys.modules if m.split('.')[0] == "
-                    "'ctss'), 'numpy' in sys.modules]))")
+                    f"'ctss'), {module!r} in sys.modules]))")
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    modules, numpy_loaded = json.loads(proc.stdout.splitlines()[-1])
-    return set(modules), numpy_loaded
+    modules, module_loaded = json.loads(proc.stdout.splitlines()[-1])
+    return set(modules), module_loaded
 
 
 class TestImports:
@@ -653,3 +680,14 @@ class TestImports:
         assert out.exists()
         training = {"ctss.coteaching", "ctss.models", "ctss.tensor", "ctss.metrics", "ctss.optim", "ctss.evaluate"}
         assert not modules & training
+
+    def test_a_fold_loads_no_masked_arrays(self):
+        # np.unique's first call imports numpy.ma, which every process that augments or splits would pay
+        modules, ma_loaded = loaded_in_fresh_interpreter(
+            "from ctss.config import CoteachConfig, GeneratorConfig, ModelConfig\n"
+            "from ctss.data import generate_cohort\nfrom ctss.evaluate import run_fold\n"
+            "gen = GeneratorConfig(n_subjects=3, n_imagery_classes=2, trials_per_class=4, n_electrodes=2, "
+            "n_timesteps=32)\n"
+            "run_fold(generate_cohort(gen), 1, 'coteach', ModelConfig(n_electrodes=2, n_timesteps=32, n_classes=3, "
+            "width_base=2, n_blocks=1), CoteachConfig(t_max=1, b=2), gen, master_seed=9)", module="numpy.ma")
+        assert "ctss.evaluate" in modules and not ma_loaded

@@ -186,6 +186,13 @@ class TestAugmentRestClass:
         message = str(info.value)
         assert "subject 1" in message and str(found) in message and "generator.n_imagery_classes" in message
 
+    def test_labels_refused_by_their_exact_values_at_any_size(self):
+        ds = SubjectDataset(subject_id=7, trials=np.zeros((3, 3, 32)), labels=np.array([2 ** 40, 0, 1]))
+        with pytest.raises(ValidationError) as info:
+            augment_rest_class(ds, toy_config())
+        assert str(info.value) == ("subject 7 has labels [0, 1, 1099511627776] but generator.n_imagery_classes = "
+                                   "2 needs exactly [0, 1], each present")
+
     def test_double_augmentation_rejected(self):
         cfg = toy_config()
         once = augment_rest_class(generate_cohort(cfg)[0], cfg)
@@ -264,6 +271,21 @@ class TestTrainValSplit:
             full_rows = {full.trials[i].tobytes() for i in range(full.n_trials)}
             merged_rows = {merged[i].tobytes() for i in range(merged.shape[0])}
             assert full_rows == merged_rows
+
+    def test_classes_split_in_ascending_order_at_any_label_size(self):
+        labels = np.array([2 ** 40, 5, 0, 2 ** 40, 0, 5, 2 ** 40, 0, 5, 0])
+        ds = SubjectDataset(subject_id=3, trials=np.arange(labels.size * 2.0).reshape(-1, 1, 2), labels=labels)
+        train, val = train_val_split([ds], 0.5, seed=4)
+        rng = np.random.default_rng(np.random.PCG64(derive_seed(4, "split", 3)))
+        expected_train, expected_val = [], []
+        for cls in (0, 5, 2 ** 40):  # one permutation per class, drawn in ascending class order
+            perm = rng.permutation(np.flatnonzero(labels == cls))
+            n_train = min(max(int(0.5 * perm.size), 1), perm.size - 1)
+            expected_train.extend(perm[:n_train])
+            expected_val.extend(perm[n_train:])
+        np.testing.assert_array_equal(train[0].labels, labels[np.sort(expected_train)])
+        np.testing.assert_array_equal(train[0].trials, ds.trials[np.sort(expected_train)])
+        np.testing.assert_array_equal(val[0].trials, ds.trials[np.sort(expected_val)])
 
     def test_class_with_single_trial_rejected(self):
         ds = SubjectDataset(subject_id=0, trials=np.zeros((3, 2, 4)), labels=np.array([0, 0, 1]))

@@ -234,10 +234,11 @@ class TestRunLoso:
         started = []
 
         class SerialPool:
-            """Records max_workers and runs each task in this process, so no worker is started."""
+            """Records max_workers and runs the initializer and each task in this process, so no worker is started."""
 
-            def __init__(self, max_workers, mp_context):
+            def __init__(self, max_workers, mp_context, initializer, initargs):
                 started.append(max_workers)
+                initializer(*initargs)
 
             def __enter__(self):
                 return self
@@ -249,6 +250,7 @@ class TestRunLoso:
                 return (fn(task) for task in tasks)
 
         monkeypatch.setattr(ctss.evaluate, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(ctss.evaluate, "_worker_cohort", None)  # undoes the initializer's set at teardown
         gen = toy_generator(n_subjects=3, seed=18)
         run = run_loso(generate_cohort(gen), "baseline", toy_model_config(), CoteachConfig(t_max=1, seed=0),
                        gen, master_seed=4, parallel_folds=parallel_folds)
@@ -262,7 +264,7 @@ class TestRunLoso:
         class RecordingPool(ctss.evaluate.ProcessPoolExecutor):
             def map(self, fn, tasks, **kwargs):
                 tasks = list(tasks)
-                seen.append([task[1] for task in tasks])
+                seen.append([task[0] for task in tasks])
                 for out in super().map(fn, tasks, **kwargs):
                     seen.append(out.record)
                     yield out
