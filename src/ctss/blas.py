@@ -41,7 +41,8 @@ def single_blas_thread():
     """Pin OpenBLAS to one thread; yields the thread count it replaced, or None when unpinned.
 
     None means another BLAS or no procfs. The previous count is restored on
-    every exit path.
+    every exit path. A count already at 1 is left alone: in a forked child,
+    any set restarts OpenBLAS's thread pool, and so starts a thread.
     """
     get = set_ = None
     for spelling, lib in itertools.product(_SPELLINGS, _openblas_libraries()):
@@ -54,6 +55,9 @@ def single_blas_thread():
     get.argtypes, get.restype = [], ctypes.c_int
     set_.argtypes, set_.restype = [ctypes.c_int], None
     previous = get()
+    if previous == 1:
+        yield 1
+        return
     try:
         set_(1)
         yield previous if get() == 1 else None

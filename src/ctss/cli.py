@@ -15,6 +15,7 @@ import os
 import re
 import sys
 import time
+from contextlib import closing
 from dataclasses import replace
 from pathlib import Path
 
@@ -59,7 +60,7 @@ def cmd_generate(args) -> int:
 
 def cmd_run(args) -> int:
     from .data import generate_cohort, load_raw
-    from .evaluate import check_out_dir, run_loso, write_run
+    from .evaluate import check_out_dir, loso_folds, write_run
     cfg = _load_or_default_config(args.config)
     run_cfg = cfg.run
     if args.method is not None:
@@ -79,21 +80,15 @@ def cmd_run(args) -> int:
     check_out_dir(Path(args.out), {ds.subject_id for ds in cohort})
 
     started = time.time()
-    run = run_loso(
-        cohort,
-        run_cfg.method,
-        cfg.model_config(),
-        cfg.coteach,
-        cfg.generator,
-        master_seed=run_cfg.master_seed,
-        val_ratio=run_cfg.val_ratio,
-        parallel_folds=args.parallel_folds,
-        config_echo=replace(cfg, run=run_cfg).to_dict(),
-    )
-    write_run(run, args.out, time.time() - started, cohort_sha256)
+    folds = loso_folds(cohort, run_cfg.method, cfg.model_config(), cfg.coteach, cfg.generator,
+                       master_seed=run_cfg.master_seed, val_ratio=run_cfg.val_ratio,
+                       parallel_folds=args.parallel_folds)
+    with closing(folds):  # on an error, stops the fold pool now, not when the generator is collected
+        summary = write_run(folds, args.out, run_cfg.method, run_cfg.master_seed, cfg.coteach.t_max,
+                            replace(cfg, run=run_cfg).to_dict(), started, cohort_sha256)
     print(f"{run_cfg.method}: mean balanced accuracy "
-          f"{run.summary.mean_balanced_accuracy:.4f} "
-          f"(std {run.summary.std_balanced_accuracy:.4f}) over {len(run.folds)} folds -> {args.out}")
+          f"{summary.mean_balanced_accuracy:.4f} "
+          f"(std {summary.std_balanced_accuracy:.4f}) over {len(summary.folds)} folds -> {args.out}")
     return 0
 
 

@@ -12,12 +12,15 @@ import csv
 import json
 import logging
 import multiprocessing
+import os
 import re
 import shutil
 import sys
+import time
+from collections.abc import Iterable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import nullcontext
+from contextlib import ExitStack
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -138,56 +141,82 @@ def _fold_task(task) -> FoldOutput:
         return run_fold(_worker_cohort, *task)
 
 
-def run_loso(cohort, method: str, model_config: ModelConfig, train_config: CoteachConfig,
-             generator_config: GeneratorConfig, master_seed: int, val_ratio: float = 0.9,
-             parallel_folds: int = 1, config_echo: dict | None = None) -> LosoRun:
-    """One fold per cohort subject; aggregates mean/std over fold balanced accuracies."""
+def loso_folds(cohort, method: str, model_config: ModelConfig, train_config: CoteachConfig,
+               generator_config: GeneratorConfig, master_seed: int, val_ratio: float = 0.9,
+               parallel_folds: int = 1) -> Iterator[FoldOutput]:
+    """One fold per cohort subject, each yielded in target order as it is collected.
+
+    The arguments are checked here, before any fold trains; the folds train as the iterator is read.
+    """
     if len(cohort) < 2:
         raise ValidationError("leave-one-subject-out requires at least 2 subjects")
     if parallel_folds < 1:
         raise ValidationError(f"--parallel-folds must be >= 1, got {parallel_folds}")
-    targets = [ds.subject_id for ds in cohort]
     # the cohort goes to each worker once, not with every task
-    tasks = [(sid, method, model_config, train_config, generator_config, master_seed, val_ratio)
-             for sid in targets]
-    outputs: list[FoldOutput] = []
-    # forked workers all start up front, so never more than folds
-    with (ProcessPoolExecutor(max_workers=min(parallel_folds, len(tasks)), mp_context=_POOL_CONTEXT,
-                              initializer=_init_fold_worker, initargs=(cohort,))
-          if parallel_folds > 1 else nullcontext()) as pool:
-        folds = pool.map(_fold_task, tasks) if pool else (run_fold(cohort, *task) for task in tasks)
+    tasks = [(ds.subject_id, method, model_config, train_config, generator_config, master_seed, val_ratio)
+             for ds in cohort]
+    return _collect_folds(cohort, tasks, parallel_folds)
+
+
+def _collect_folds(cohort, tasks: list[tuple], parallel_folds: int) -> Iterator[FoldOutput]:
+    with ExitStack() as stack:
+        if parallel_folds > 1:
+            # forked workers inherit the pin, so none of them restarts OpenBLAS's thread pool to set it
+            stack.enter_context(single_blas_thread())
+            # forked workers all start up front, so never more than folds
+            pool = stack.enter_context(ProcessPoolExecutor(
+                max_workers=min(parallel_folds, len(tasks)), mp_context=_POOL_CONTEXT,
+                initializer=_init_fold_worker, initargs=(cohort,)))
+            folds = pool.map(_fold_task, tasks)
+        else:
+            folds = (run_fold(cohort, *task) for task in tasks)
+        collected = 0
         try:
             for out in folds:
-                log.info("fold %d/%d: subject %d, %s, balanced accuracy %.4f, best epoch %d", len(outputs) + 1,
+                collected += 1
+                log.info("fold %d/%d: subject %d, %s, balanced accuracy %.4f, best epoch %d", collected,
                          len(tasks), out.record.target_subject, out.record.method,
                          out.record.balanced_accuracy, out.record.best_epoch)
-                outputs.append(out)
+                yield out
+                del out  # not held while the next fold trains
         except BrokenProcessPool:
             raise WorkerError(f"a fold worker process died (killed by a signal, or out of memory) with the "
-                              f"folds of subjects {targets[len(outputs):]} not collected; fewer "
-                              "--parallel-folds hold fewer folds in memory at once") from None
+                              f"folds of subjects {[task[0] for task in tasks[collected:]]} not collected; "
+                              "fewer --parallel-folds hold fewer folds in memory at once") from None
+        finally:
+            folds.close()  # cancels the folds not started, so leaving the pool waits only for running ones
 
-    accs = np.array([o.record.balanced_accuracy for o in outputs])
-    freqs: dict[int, float] = {}
-    if method == "coteach":
-        per_subject: dict[int, list[float]] = {}
-        window = final_epoch_window(train_config.t_max)
-        for out in outputs:
-            report = selection_frequency_report(out.selection_records, window)
-            for sid, row in report.items():
-                per_subject.setdefault(sid, []).append(row["pooled"])
-        freqs = {sid: float(np.mean(vals)) for sid, vals in per_subject.items()}
 
-    summary = RunSummary(
+def summarize(method: str, master_seed: int, records: list[FoldRecord], reports: list[dict],
+              config_echo: dict | None = None) -> RunSummary:
+    """The run's summary from its fold records and each co-teaching fold's :func:`selection_frequency_report`."""
+    accs = np.array([rec.balanced_accuracy for rec in records])
+    per_subject: dict[int, list[float]] = {}
+    for report in reports:
+        for sid, row in report.items():
+            per_subject.setdefault(sid, []).append(row["pooled"])
+    return RunSummary(
         method=method,
         master_seed=master_seed,
-        folds=[o.record for o in outputs],
+        folds=records,
         mean_balanced_accuracy=float(accs.mean()),
         std_balanced_accuracy=float(accs.std()),  # population std, ddof=0
-        selection_frequencies=freqs,
+        selection_frequencies={sid: float(np.mean(vals)) for sid, vals in per_subject.items()},
         config_echo=config_echo or {},
     )
-    return LosoRun(summary=summary, folds=outputs)
+
+
+def run_loso(cohort, method: str, model_config: ModelConfig, train_config: CoteachConfig,
+             generator_config: GeneratorConfig, master_seed: int, val_ratio: float = 0.9,
+             parallel_folds: int = 1, config_echo: dict | None = None) -> LosoRun:
+    """Every fold of :func:`loso_folds`, held in memory, and their summary."""
+    outputs = list(loso_folds(cohort, method, model_config, train_config, generator_config, master_seed,
+                              val_ratio, parallel_folds))
+    window = final_epoch_window(train_config.t_max)
+    reports = [selection_frequency_report(out.selection_records, window)
+               for out in outputs if out.selection_records]  # the baseline selects nothing
+    return LosoRun(summary=summarize(method, master_seed, [out.record for out in outputs], reports, config_echo),
+                   folds=outputs)
 
 
 def final_epoch_window(t_max: int) -> tuple[int, int]:
@@ -236,17 +265,19 @@ def selection_frequency_report(records, window: tuple[int, int]) -> dict[int, di
 
 # ---------------------------------------------------------------------------
 # the run directory: results.csv, summary.json, fold_NNN/checkpoint.bin,
-# fold_NNN/selections.jsonl (coteach only), and manifest.json, written last
+# fold_NNN/selections.jsonl (coteach only), and manifest.json, written last;
+# folds are staged in .partial-<pid> inside it as they are collected
 
 RESULTS_FIELDS = ("run_id", "method", "target_subject", "balanced_accuracy", "best_epoch", "seed")
+_STAGING_NAME = re.compile(r"\.partial-\d+")
 
 
-def write_results_csv(run: LosoRun, path) -> None:
-    run_id = f"{run.summary.method}-seed{run.summary.master_seed}"
+def write_results_csv(summary: RunSummary, path) -> None:
+    run_id = f"{summary.method}-seed{summary.master_seed}"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(RESULTS_FIELDS)
-        for rec in run.summary.folds:
+        for rec in summary.folds:
             writer.writerow([run_id, rec.method, rec.target_subject,
                              repr(rec.balanced_accuracy), rec.best_epoch, rec.seed])
 
@@ -257,8 +288,13 @@ def _write_json(obj: dict, path) -> None:
         fh.write("\n")
 
 
-def write_summary_json(run: LosoRun, path) -> None:
-    _write_json(run.summary.to_json_dict(), path)
+def write_summary_json(summary: RunSummary, path) -> None:
+    _write_json(summary.to_json_dict(), path)
+
+
+def _run_entries(out_dir: Path) -> list[Path]:
+    """What ``out_dir`` holds bar staging directories, this run's or one a killed run left."""
+    return [p for p in out_dir.iterdir() if not _STAGING_NAME.fullmatch(p.name)]
 
 
 def check_out_dir(out_dir: Path, subject_ids) -> None:
@@ -267,37 +303,76 @@ def check_out_dir(out_dir: Path, subject_ids) -> None:
     existing = next(p for p in (out_dir, *out_dir.parents) if p.exists() or p.is_symlink())
     if not existing.is_dir():
         raise DataFormatError(f"output path {out_dir}: {existing} exists and is not a directory")
-    if existing != out_dir or not any(out_dir.iterdir()):
+    entries = _run_entries(out_dir) if existing == out_dir else []
+    if not entries:
         return
     if not (out_dir / "manifest.json").is_file():
         raise ValidationError(f"{out_dir} is not empty and holds no run (no manifest.json); "
                               "choose another --out or empty it")
-    stale = sorted(p for p in out_dir.iterdir()
+    stale = sorted(p for p in entries
                    if p.is_dir() and re.fullmatch(r"fold_\d{3,}", p.name) and int(p.name[5:]) not in subject_ids)
     if stale:
         raise ValidationError(f"{stale[0]} holds a fold of a subject this cohort does not have; "
                               "choose another --out or remove the old run")
 
 
-def write_run(run: LosoRun, out_dir, wall_time_seconds: float, cohort_sha256: str | None) -> None:
-    """Replace the run ``out_dir`` holds, if any, with this one, every file of the old run removed."""
+def _remove(entry: Path) -> None:
+    if entry.is_dir() and not entry.is_symlink():
+        shutil.rmtree(entry)
+    else:
+        entry.unlink()
+
+
+def _swap_in(staging: Path, out_dir: Path) -> None:
+    """Replace every entry of ``out_dir`` by the staged ones; a directory holding a manifest holds a whole run."""
+    for entry in sorted(out_dir.iterdir(), key=lambda p: p.name != "manifest.json"):  # the manifest first
+        if entry.name != staging.name:
+            _remove(entry)
+    for entry in sorted(staging.iterdir(), key=lambda p: p.name == "manifest.json"):  # the manifest last
+        entry.rename(out_dir / entry.name)
+    staging.rmdir()
+
+
+def write_run(folds: Iterable[FoldOutput], out_dir, method: str, master_seed: int, t_max: int,
+              config_echo: dict, started: float, cohort_sha256: str | None) -> RunSummary:
+    """Write each fold as it is collected, then replace the run ``out_dir`` holds, if any, with this one.
+
+    The folds go to ``out_dir/.partial-<pid>``, on ``out_dir``'s own file system so that renames
+    can move them, and only their records and selection reports stay in memory. The summaries and
+    the manifest are staged last. Then every entry of ``out_dir`` is removed, the old run's and
+    other staging directories alike (the directory itself stays, be it the working directory or a
+    link), and the staged entries are renamed in. On any error, Ctrl-C included, the staging
+    directory is removed, and so is ``out_dir`` if this call created it, so an earlier run stays as
+    it was. ``started`` is the ``time.time()`` the run began at; returns the run's summary.
+    """
     out_dir = Path(out_dir)
-    check_out_dir(out_dir, {rec.target_subject for rec in run.summary.folds})
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for entry in out_dir.iterdir():  # the directory itself stays, be it the working directory or a link
-        if entry.is_dir() and not entry.is_symlink():
-            shutil.rmtree(entry)
-        else:
-            entry.unlink()
-    write_results_csv(run, out_dir / "results.csv")
-    write_summary_json(run, out_dir / "summary.json")
-    for fold in run.folds:
-        fold_dir = out_dir / f"fold_{fold.record.target_subject:03d}"
-        fold_dir.mkdir()
-        save_checkpoint(fold.checkpoint.model, fold_dir / "checkpoint.bin")
-        if fold.selection_records:
-            write_selection_log(fold.selection_records, fold_dir / "selections.jsonl")
-    _write_json({"blas_core": openblas_core(), "cohort_sha256": cohort_sha256, "command": "run",
-                 "config": run.summary.config_echo, "method": run.summary.method,
-                 "master_seed": run.summary.master_seed, "version": __version__,
-                 "wall_time_seconds": wall_time_seconds}, out_dir / "manifest.json")
+    created = not (out_dir.exists() or out_dir.is_symlink())
+    staging = out_dir / f".partial-{os.getpid()}"
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        shutil.rmtree(staging, ignore_errors=True)  # left by a killed run whose process id this one reuses
+        staging.mkdir()
+        window = final_epoch_window(t_max)
+        records, reports = [], []
+        for fold in folds:
+            fold_dir = staging / f"fold_{fold.record.target_subject:03d}"
+            fold_dir.mkdir()
+            save_checkpoint(fold.checkpoint.model, fold_dir / "checkpoint.bin")
+            if fold.selection_records:  # the baseline selects nothing
+                write_selection_log(fold.selection_records, fold_dir / "selections.jsonl")
+                reports.append(selection_frequency_report(fold.selection_records, window))
+            records.append(fold.record)
+            del fold  # not held while the next fold trains
+        summary = summarize(method, master_seed, records, reports, config_echo)
+        write_results_csv(summary, staging / "results.csv")
+        write_summary_json(summary, staging / "summary.json")
+        _write_json({"blas_core": openblas_core(), "cohort_sha256": cohort_sha256, "command": "run",
+                     "config": summary.config_echo, "method": method, "master_seed": master_seed,
+                     "version": __version__, "wall_time_seconds": time.time() - started},
+                    staging / "manifest.json")
+        check_out_dir(out_dir, {rec.target_subject for rec in records})
+        _swap_in(staging, out_dir)
+    except BaseException:
+        shutil.rmtree(out_dir if created else staging, ignore_errors=True)
+        raise
+    return summary

@@ -2,6 +2,7 @@
 
 import configparser
 import dataclasses
+import gc
 import hashlib
 import io
 import json
@@ -23,6 +24,7 @@ from ctss.cli import main, usable_cpus
 from ctss.config import ExperimentConfig, load_config
 from ctss.coteaching import read_selection_log
 from ctss.data import GeneratorConfig, SubjectDataset, generate_cohort, load_raw, save_raw
+from ctss.errors import NumericError
 from test_data import add_empty_subject
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -587,6 +589,113 @@ class TestRun:
         cfg = load_config(toy_config)
         assert load_config(path) == dataclasses.replace(
             cfg, run=dataclasses.replace(cfg.run, method="baseline", master_seed=4))
+
+
+def tree_bytes(root: Path) -> dict[str, bytes | None]:
+    """Every entry under ``root``, a file as its bytes and a directory as None."""
+    return {p.relative_to(root).as_posix(): p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+
+class TestStreamedRun:
+    """Folds go to a staging directory inside ``--out`` as they are collected; the run is swapped in last."""
+
+    def test_each_fold_is_on_disk_before_the_next_one_trains(self, toy_config, tmp_path, monkeypatch):
+        out = tmp_path / "r"
+        staging = out / f".partial-{os.getpid()}"
+        staged = {}
+        run_fold = ctss.evaluate.run_fold
+
+        def spy(cohort, target, *args):
+            staged[target] = tree_bytes(staging) if staging.is_dir() else {}
+            return run_fold(cohort, target, *args)
+
+        monkeypatch.setattr(ctss.evaluate, "run_fold", spy)
+        assert main(["run", "--config", str(toy_config), "--out", str(out), "--parallel-folds", "1"]) == 0
+        final = tree_bytes(out)
+        for target in (0, 1, 2):
+            expected = {}
+            for done in range(target):  # every earlier fold, whole, and nothing else
+                name = f"fold_{done:03d}"
+                expected.update({key: final[key] for key in final if key.split("/")[0] == name})
+            assert staged[target] == expected, target
+        assert staged[2]["fold_001/checkpoint.bin"] and staged[2]["fold_001/selections.jsonl"]
+        assert not staging.exists()
+
+    def test_the_ctss_process_holds_no_earlier_fold_while_one_trains(self, toy_config, tmp_path, monkeypatch):
+        def alive() -> int:
+            return sum(isinstance(obj, ctss.evaluate.FoldOutput) for obj in gc.get_objects())
+
+        gc.collect()
+        before, counts = alive(), []
+        run_fold = ctss.evaluate.run_fold
+
+        def spy(*args):
+            counts.append(alive() - before)
+            return run_fold(*args)
+
+        monkeypatch.setattr(ctss.evaluate, "run_fold", spy)
+        assert main(["run", "--config", str(toy_config), "--out", str(tmp_path / "r"), "--parallel-folds", "1"]) == 0
+        assert len(counts) == 3 and max(counts) <= 1, counts
+
+    @pytest.mark.parametrize("earlier", [False, True], ids=["fresh-out", "earlier-run"])
+    @pytest.mark.parametrize("fault, workers, status", [
+        ("fold-raises", "1", 3),
+        ("fold-raises", "2", 3),
+        ("worker-dies", "2", 2),
+        ("write-fails", "1", 4),
+        ("ctrl-c", "1", None),
+    ])
+    def test_failed_run_leaves_out_as_it_was(self, toy_config, tmp_path, capsys, monkeypatch, earlier, fault,
+                                             workers, status):
+        out = tmp_path / "r"
+        if earlier:
+            assert main(["run", "--config", str(toy_config), "--out", str(out), "--method", "baseline"]) == 0
+        before = tree_bytes(out) if earlier else None
+        run_fold, save, parent = ctss.evaluate.run_fold, ctss.evaluate.save_checkpoint, os.getpid()
+
+        def fold(cohort, target, *args):
+            if target == 1 and fault == "worker-dies" and os.getpid() != parent:  # as the out-of-memory killer would
+                os.kill(os.getpid(), signal.SIGKILL)
+            if target == 1 and fault == "fold-raises":
+                raise NumericError("loss is nan")
+            if target == 2 and fault == "ctrl-c":
+                raise KeyboardInterrupt
+            return run_fold(cohort, target, *args)
+
+        def failing_save(model, path):
+            if Path(path).parent.name == "fold_001":
+                raise OSError(28, "No space left on device")
+            return save(model, path)
+
+        monkeypatch.setattr(ctss.evaluate, "run_fold", fold)
+        if fault == "write-fails":
+            monkeypatch.setattr(ctss.evaluate, "save_checkpoint", failing_save)
+        argv = ["run", "--config", str(toy_config), "--out", str(out), "--parallel-folds", workers]
+        if status is None:
+            with pytest.raises(KeyboardInterrupt):
+                main(argv)
+        else:
+            assert main(argv) == status
+            assert len(capsys.readouterr().err.splitlines()) == 1
+        if earlier:
+            assert tree_bytes(out) == before
+        else:
+            assert not out.exists()
+
+    @pytest.mark.parametrize("earlier", [False, True], ids=["no-run", "earlier-run"])
+    def test_a_killed_runs_staging_directory_neither_blocks_nor_survives_a_run(self, toy_config, tmp_path, earlier):
+        out = tmp_path / "r"
+        if earlier:
+            assert main(["run", "--config", str(toy_config), "--out", str(out), "--method", "baseline"]) == 0
+        leftover = out / ".partial-4194304" / "fold_000"  # no process holds this id: above Linux's pid_max
+        leftover.mkdir(parents=True)
+        (leftover / "checkpoint.bin").write_bytes(b"half written")
+        assert main(["run", "--config", str(toy_config), "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "fold_000", "fold_001", "fold_002", "manifest.json", "results.csv", "summary.json"]
+        fresh = tmp_path / "fresh"
+        assert main(["run", "--config", str(toy_config), "--out", str(fresh)]) == 0
+        assert_same_run(out, fresh)
 
 
 class TestReport:

@@ -6,10 +6,12 @@ import itertools
 import math
 import threading
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
 
+import ctss.blas
 import ctss.coteaching
 from ctss.blas import single_blas_thread
 from ctss.config import ExperimentConfig
@@ -592,6 +594,22 @@ class TestThreadedPair:
             assert blas_thread_count() == (None if before is None else 1)
             raise KeyError
         assert blas_thread_count() == before
+
+    @pytest.mark.parametrize("count, sets", [(1, []), (2, [1, 2])])
+    def test_pin_sets_nothing_when_one_thread_runs_already(self, monkeypatch, count, sets):
+        """In a forked child, any set restarts OpenBLAS's thread pool, so a count of 1 is left alone."""
+        calls, threads = [], [count]
+
+        def set_threads(n):
+            calls.append(n)
+            threads[0] = n
+
+        lib = types.SimpleNamespace(openblas_get_num_threads=lambda: threads[0],
+                                    openblas_set_num_threads=set_threads)
+        monkeypatch.setattr(ctss.blas, "_openblas_libraries", lambda: [lib])
+        with single_blas_thread() as replaced:
+            assert replaced == count and threads == [1]
+        assert calls == sets and threads == [count]
 
     def test_bitwise_equal_to_serial(self, monkeypatch, tmp_path):
         train, val, model_config, cc = self.fold_data()

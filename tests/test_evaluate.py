@@ -1,6 +1,7 @@
 """Metrics, baseline training, LOSO harness, and selection-frequency reports."""
 
 import logging
+import os
 import threading
 
 import numpy as np
@@ -294,6 +295,27 @@ class TestRunLoso:
                  gen, master_seed=4, parallel_folds=2)
         assert {p.name: p.read_text() for p in tmp_path.iterdir()} == {"0": "1", "1": "1", "2": "1"}
 
+    def test_fold_workers_start_no_blas_thread(self, monkeypatch, tmp_path):
+        """The pool starts under the parent's pin, so a worker's own pin sets nothing and OpenBLAS stays idle."""
+        before = blas_thread_count()
+        if before in (None, 1):
+            pytest.skip("OpenBLAS runs one thread here, so no worker would start another")
+        if not os.path.isdir("/proc/self/task"):
+            pytest.skip("no procfs to count a process's threads")
+        fold = ctss.evaluate.run_fold
+
+        def spy(cohort, target, *args):
+            out = fold(cohort, target, *args)  # counted after training, when any BLAS call has been made
+            (tmp_path / str(target)).write_text(str(len(os.listdir("/proc/self/task"))))
+            return out
+
+        monkeypatch.setattr(ctss.evaluate, "run_fold", spy)
+        gen = toy_generator(n_subjects=3, seed=18)
+        run_loso(generate_cohort(gen), "baseline", toy_model_config(), CoteachConfig(t_max=1, seed=0),
+                 gen, master_seed=4, parallel_folds=2)
+        assert {p.name: p.read_text() for p in tmp_path.iterdir()} == {"0": "1", "1": "1", "2": "1"}
+        assert blas_thread_count() == before  # the parent's pin is undone after the pool
+
     def test_fold_workers_train_coteaching_on_one_thread(self, monkeypatch, tmp_path):
         if blas_thread_count() in (None, 1):
             pytest.skip("OpenBLAS cannot give up a thread here, so no process starts co-teaching's helper")
@@ -319,8 +341,8 @@ class TestRunLoso:
         cohort = generate_cohort(gen)
         run = run_loso(cohort, "coteach", toy_model_config(),
                        CoteachConfig(t_max=2, seed=0), gen, master_seed=5)
-        write_results_csv(run, tmp_path / "results.csv")
-        write_summary_json(run, tmp_path / "summary.json")
+        write_results_csv(run.summary, tmp_path / "results.csv")
+        write_summary_json(run.summary, tmp_path / "summary.json")
         lines = (tmp_path / "results.csv").read_text().strip().splitlines()
         assert lines[0] == "run_id,method,target_subject,balanced_accuracy,best_epoch,seed"
         assert len(lines) == 4

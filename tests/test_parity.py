@@ -104,7 +104,7 @@ def run_digests(tmp_path, case: str, method: str) -> dict[str, str]:
     run = run_loso(generate_cohort(gen), method, model_config, CoteachConfig(t_max=3, b=2, t_k=1, tau=0.5),
                    gen, master_seed=7)
     fold = run.folds[0]
-    write_results_csv(run, tmp_path / "results.csv")
+    write_results_csv(run.summary, tmp_path / "results.csv")
     save_checkpoint(fold.checkpoint.model, tmp_path / "checkpoint.bin")
     write_selection_log(fold.selection_records, tmp_path / "selections.jsonl")
     (tmp_path / "epochs.json").write_text(
