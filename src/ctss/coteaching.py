@@ -87,7 +87,8 @@ class SubjectBatcher:
 
     Each subject's samples are consumed from a seeded permutation; a fresh
     permutation is appended whenever fewer than b indices remain, so one
-    epoch pass covers the subject's dataset exactly before any repeat.
+    epoch pass covers the subject's dataset exactly before any repeat. The
+    drawn trials are copied from the subjects' blocks straight into the batch.
     """
 
     def __init__(self, datasets, b: int, rng: np.random.Generator):
@@ -99,27 +100,31 @@ class SubjectBatcher:
         ids = [ds.subject_id for ds in self._datasets]
         if len(set(ids)) != len(ids):
             raise ValidationError(f"duplicate subject ids in training set: {ids}")
+        shapes = sorted({ds.trial_shape for ds in self._datasets})
+        if len(shapes) != 1:
+            raise ValidationError(f"training subjects' trials differ in shape [E, T]: {[list(s) for s in shapes]}")
+        self._trial_shape = shapes[0]
         self.subject_ids = tuple(ids)
         self.b = b
         self._rng = rng
         self._queues: list[list[int]] = [[] for _ in self._datasets]
 
     def next_batch(self) -> SubjectBatch:
-        chunks = []
-        labels = []
+        b = self.b
+        trials = np.empty((b * len(self._datasets), *self._trial_shape))
+        labels = np.empty(trials.shape[0], dtype=np.int64)
+        row = 0
         for i, ds in enumerate(self._datasets):
             queue = self._queues[i]
-            while len(queue) < self.b:
+            while len(queue) < b:
                 queue.extend(self._rng.permutation(ds.n_trials).tolist())
-            take, self._queues[i] = queue[:self.b], queue[self.b:]
-            chunks.append(ds.trials[take])
-            labels.append(ds.labels[take])
-        return SubjectBatch(
-            subject_ids=self.subject_ids,
-            trials=Tensor(np.concatenate(chunks)),
-            labels=np.concatenate(labels),
-            b=self.b,
-        )
+            take, self._queues[i] = queue[:b], queue[b:]
+            labels[row:row + b] = ds.labels[take]
+            views = ds.trial_views()
+            for position in take:
+                trials[row] = views[position]
+                row += 1
+        return SubjectBatch(subject_ids=self.subject_ids, trials=Tensor(trials), labels=labels, b=b)
 
 
 @dataclass

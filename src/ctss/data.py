@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,35 +30,98 @@ _TEMPLATE_COMPONENTS = 3
 _OFFSET_COMPONENTS = 2
 
 
-@dataclass
 class SubjectDataset:
-    """One subject's labeled trials, finite and float64, plus the noisy-flag ground truth."""
+    """One subject's labeled trials, finite and float64, plus the noisy-flag ground truth.
 
-    subject_id: int
-    trials: np.ndarray  # float64 [n_trials, E, T]
-    labels: np.ndarray  # int64 [n_trials]
-    is_noisy: bool = False
+    The trials are rows over one or more blocks, contiguous float64 ``[n_i, E, T]`` arrays of one
+    ``[E, T]``, numbered as if the blocks were stacked in order. A dataset built from one array has
+    that array as its one block and every row of it in order, and ``trials`` is the array itself.
+    :func:`augment_rest_class` adds a block and :func:`train_val_split` picks rows, so neither copies
+    a trial; the ``trials`` of what they return is a copy, assembled on each access.
+    """
 
-    def __post_init__(self):
-        self.trials = np.ascontiguousarray(self.trials, dtype=np.float64)
-        if self.trials.ndim != 3:
-            raise ValidationError(f"trials must be [n, E, T], got shape {tuple(self.trials.shape)}")
-        if not np.isfinite(self.trials).all():
-            raise NumericError(f"non-finite trial values in subject {self.subject_id}")
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.labels.shape != (self.trials.shape[0],):
-            raise ValidationError(
-                f"subject {self.subject_id}: {self.trials.shape[0]} trials but "
-                f"{self.labels.shape[0]} labels"
-            )
-        if self.n_trials < 1:
-            raise ValidationError(f"subject {self.subject_id} has no trials")
+    def __init__(self, subject_id: int, trials, labels, is_noisy: bool = False):
+        self.subject_id = subject_id
+        self.is_noisy = is_noisy
+        self.blocks = (_checked_block(subject_id, trials),)
+        self.rows = None  # indices into the stacked blocks, or None for all their rows in order
+        self._views = None  # trial_views(), once built
+        self.labels = np.asarray(labels, dtype=np.int64)
+        n = self.blocks[0].shape[0]
+        if self.labels.shape != (n,):
+            raise ValidationError(f"subject {subject_id}: {n} trials but {self.labels.shape[0]} labels")
+        if n < 1:
+            raise ValidationError(f"subject {subject_id} has no trials")
         if self.labels.min() < 0:
-            raise ValidationError(f"subject {self.subject_id}: negative label")
+            raise ValidationError(f"subject {subject_id}: negative label")
 
     @property
     def n_trials(self) -> int:
-        return self.trials.shape[0]
+        return self.labels.shape[0]
+
+    @property
+    def trial_shape(self) -> tuple[int, int]:
+        """[E, T] of every trial."""
+        return self.blocks[0].shape[1:]
+
+    @property
+    def trials(self) -> np.ndarray:
+        """All trials as one float64 ``[n, E, T]`` array: the one block itself, else a copy."""
+        if self.rows is None and len(self.blocks) == 1:
+            return self.blocks[0]
+        return np.stack(self.trial_views())
+
+    def trial_views(self) -> tuple[np.ndarray, ...]:
+        """Each trial, in order, as an ``[E, T]`` view into its block. Built on the first call and kept,
+        since a validation set is read this way every epoch."""
+        if self._views is None:
+            stacked = [trial for block in self.blocks for trial in block]
+            self._views = tuple(stacked if self.rows is None else (stacked[r] for r in self.rows.tolist()))
+        return self._views
+
+    def select(self, positions: np.ndarray) -> SubjectDataset:
+        """The trials at ``positions``, in that order, as rows over the same blocks."""
+        rows = positions if self.rows is None else self.rows[positions]
+        return self._over(self.blocks, rows, self.labels[positions])
+
+    def with_block(self, trials, labels: np.ndarray) -> SubjectDataset:
+        """These trials followed by every trial of the ``[n, E, T]`` array ``trials``, labeled ``labels``.
+
+        The new block is checked as a constructed dataset's is; the existing blocks are shared.
+        """
+        block = _checked_block(self.subject_id, trials, self.trial_shape)
+        labels = np.asarray(labels, dtype=np.int64)
+        if labels.shape != (block.shape[0],):
+            raise ValidationError(f"subject {self.subject_id}: {block.shape[0]} added trials but "
+                                  f"{labels.shape[0]} labels")
+        n_stacked = sum(b.shape[0] for b in self.blocks)
+        rows = None if self.rows is None else np.concatenate(
+            [self.rows, np.arange(n_stacked, n_stacked + block.shape[0])])
+        return self._over(self.blocks + (block,), rows, np.concatenate([self.labels, labels]))
+
+    def _over(self, blocks: tuple[np.ndarray, ...], rows: np.ndarray | None, labels: np.ndarray) -> SubjectDataset:
+        out = object.__new__(type(self))
+        out.subject_id, out.is_noisy = self.subject_id, self.is_noisy
+        out.blocks, out.rows, out.labels, out._views = blocks, rows, labels, None
+        return out
+
+    def __getstate__(self) -> dict:
+        # views would unpickle as copies, not views of the unpickled blocks; they are rebuilt instead
+        return {**self.__dict__, "_views": None}
+
+
+def _checked_block(subject_id: int, trials, trial_shape: tuple[int, int] | None = None) -> np.ndarray:
+    """``trials`` as a contiguous float64 ``[n, E, T]`` block, refused unless finite and, when given,
+    of ``trial_shape`` [E, T]."""
+    block = np.ascontiguousarray(trials, dtype=np.float64)
+    if block.ndim != 3:
+        raise ValidationError(f"trials must be [n, E, T], got shape {tuple(block.shape)}")
+    if trial_shape is not None and block.shape[1:] != trial_shape:
+        raise ValidationError(f"subject {subject_id}: added trials of shape [E, T] = {list(block.shape[1:])} "
+                              f"but the subject's are {list(trial_shape)}")
+    if not np.isfinite(block).all():
+        raise NumericError(f"non-finite trial values in subject {subject_id}")
+    return block
 
 
 def _unit_rms(pattern: np.ndarray) -> np.ndarray:
@@ -123,9 +185,9 @@ def check_augmentable(ds: SubjectDataset, config: GeneratorConfig) -> None:
     the generator config's, and labels other than exactly its imagery classes, each present (so an
     augmented dataset, which holds the rest class too)."""
     expected = (config.n_electrodes, config.n_timesteps)
-    if ds.trials.shape[1:] != expected:
+    if ds.trial_shape != expected:
         raise ValidationError(
-            f"subject {ds.subject_id} has trials of shape [E, T] = {list(ds.trials.shape[1:])} but "
+            f"subject {ds.subject_id} has trials of shape [E, T] = {list(ds.trial_shape)} but "
             f"the generator config gives [n_electrodes, n_timesteps] = {list(expected)}"
         )
     rest_label = config.n_imagery_classes
@@ -140,8 +202,9 @@ def check_augmentable(ds: SubjectDataset, config: GeneratorConfig) -> None:
 def augment_rest_class(ds: SubjectDataset, config: GeneratorConfig) -> SubjectDataset:
     """Append one freshly drawn rest trial per existing trial, labeled n_imagery_classes.
 
-    Doubles the trial count and adds one class. Original trials are carried
-    over bitwise. Refuses what :func:`check_augmentable` refuses.
+    Doubles the trial count and adds one class. The rest trials are one new
+    block beside the subject's own, which are shared, not copied. Refuses what
+    :func:`check_augmentable` refuses.
     """
     check_augmentable(ds, config)
     rest_label = config.n_imagery_classes
@@ -149,10 +212,9 @@ def augment_rest_class(ds: SubjectDataset, config: GeneratorConfig) -> SubjectDa
     sigma = 1.0 / config.snr
     rng = np.random.default_rng(np.random.PCG64(derive_seed(config.seed, "rest", ds.subject_id)))
     n = ds.n_trials
-    rest = offset[None, :, :] + rng.normal(0.0, sigma, size=(n,) + offset.shape)
-    trials = np.concatenate([ds.trials, rest], axis=0)
-    labels = np.concatenate([ds.labels, np.full(n, rest_label, dtype=np.int64)])
-    return SubjectDataset(subject_id=ds.subject_id, trials=trials, labels=labels, is_noisy=ds.is_noisy)
+    rest = rng.normal(0.0, sigma, size=(n,) + offset.shape)
+    rest += offset  # in place: the same sums as offset + noise, with no second block
+    return ds.with_block(rest, np.full(n, rest_label, dtype=np.int64))
 
 
 def loso_split(cohort: list[SubjectDataset], target_subject_id: int) -> tuple[list[SubjectDataset], SubjectDataset]:
@@ -169,7 +231,10 @@ def loso_split(cohort: list[SubjectDataset], target_subject_id: int) -> tuple[li
 
 def train_val_split(source: list[SubjectDataset], ratio: float, seed: int
                     ) -> tuple[list[SubjectDataset], list[SubjectDataset]]:
-    """Per-subject, class-stratified trial split; both sides keep every subject and class."""
+    """Per-subject, class-stratified trial split; both sides keep every subject and class.
+
+    Each side is rows over its subject's blocks, in ascending order, so no trial is copied.
+    """
     if not 0.0 < ratio < 1.0:
         raise ValidationError(f"split ratio must be in (0, 1), got {ratio}")
     if not source:
@@ -189,14 +254,9 @@ def train_val_split(source: list[SubjectDataset], ratio: float, seed: int
             n_train = min(max(int(ratio * idx.size), 1), idx.size - 1)
             train_idx.extend(perm[:n_train])
             val_idx.extend(perm[n_train:])
-        train.append(_subset(ds, np.sort(np.asarray(train_idx))))
-        val.append(_subset(ds, np.sort(np.asarray(val_idx))))
+        train.append(ds.select(np.sort(np.asarray(train_idx))))
+        val.append(ds.select(np.sort(np.asarray(val_idx))))
     return train, val
-
-
-def _subset(ds: SubjectDataset, idx: np.ndarray) -> SubjectDataset:
-    return SubjectDataset(subject_id=ds.subject_id, trials=ds.trials[idx], labels=ds.labels[idx],
-                          is_noisy=ds.is_noisy)
 
 
 # ---------------------------------------------------------------------------

@@ -105,7 +105,7 @@ def run_fold(cohort, target_subject_id: int, method: str, model_config: ModelCon
     fold_seed = derive_seed(master_seed, "fold", target_subject_id)
     source, test = loso_split(cohort, target_subject_id)
     check_augmentable(test, generator_config)  # refused before training, augmented only after it
-    # the augmented source lives only until the split has copied its trials into train and val
+    # train and val are rows over each source's own trials and its rest block: no trial is copied
     train, val = train_val_split([augment_rest_class(ds, generator_config) for ds in source], val_ratio,
                                  derive_seed(fold_seed, "split"))
 

@@ -39,12 +39,13 @@ def balanced_accuracy(cm: np.ndarray) -> float:
     return float(recalls.mean())
 
 
-def predict_classes(model: Model, trials: np.ndarray) -> np.ndarray:
-    """Argmax class per trial of the [n, E, T] array ``trials``, evaluated without gradient tracking."""
-    n = trials.shape[0]
+def predict_classes(model: Model, trials) -> np.ndarray:
+    """Argmax class per trial of ``trials``, a sequence of [E, T] trials, evaluated without gradient
+    tracking. Each chunk of trials is gathered into one array only for its own forward."""
+    n = len(trials)
     out = np.empty(n, dtype=np.int64)
     for start in range(0, n, _PREDICT_CHUNK):
-        logits = model.forward(Tensor(trials[start:start + _PREDICT_CHUNK]), tape=None)
+        logits = model.forward(Tensor(np.array(trials[start:start + _PREDICT_CHUNK])), tape=None)
         out[start:start + _PREDICT_CHUNK] = np.argmax(logits.data, axis=1)
     return out
 
@@ -54,7 +55,6 @@ def evaluate_balanced_accuracy(model: Model, datasets, n_classes: int) -> float:
     ds_list = datasets if isinstance(datasets, list) else [datasets]
     if not ds_list:
         raise ValidationError("evaluation requires at least one dataset")
-    trials = np.concatenate([ds.trials for ds in ds_list])
     labels = np.concatenate([ds.labels for ds in ds_list])
-    preds = predict_classes(model, trials)
+    preds = predict_classes(model, [trial for ds in ds_list for trial in ds.trial_views()])
     return balanced_accuracy(confusion_matrix(labels, preds, n_classes))

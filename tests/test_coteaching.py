@@ -28,7 +28,7 @@ from ctss.coteaching import (
     train_coteaching,
     write_selection_log,
 )
-from ctss.data import GeneratorConfig, augment_rest_class, generate_cohort, train_val_split
+from ctss.data import GeneratorConfig, SubjectDataset, augment_rest_class, generate_cohort, train_val_split
 from ctss.errors import NumericError, ValidationError
 from ctss.models import Model, ModelConfig, build_mini_resnet1d, save_checkpoint
 from ctss.optim import AdamState, adam_step
@@ -87,6 +87,12 @@ class TestSubjectBatcher:
     def test_empty_training_set_rejected(self):
         with pytest.raises(ValidationError):
             SubjectBatcher([], 8, np.random.default_rng(0))
+
+    def test_subjects_of_another_trial_shape_rejected(self):
+        cohort, _ = toy_cohort(n_subjects=2)
+        other = SubjectDataset(subject_id=5, trials=np.zeros((4, 2, 31)), labels=[0, 1, 2, 0])
+        with pytest.raises(ValidationError, match=r"differ in shape \[E, T\]: \[\[2, 31\], \[2, 32\]\]"):
+            SubjectBatcher(cohort + [other], 2, np.random.default_rng(0))
 
 
 class TestRememberRate:

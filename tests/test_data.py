@@ -1,6 +1,8 @@
 """Cohort generation, augmentation, splits, and the raw file format."""
 
+import pickle
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -58,6 +60,42 @@ class TestSubjectDataset:
         ds = SubjectDataset(subject_id=0, trials=trials, labels=[0, 1])
         assert ds.trials.dtype == np.float64 and ds.trials.flags.c_contiguous
         np.testing.assert_array_equal(ds.trials, np.asarray(trials, dtype=np.float64))
+
+    def test_rows_over_blocks_read_as_the_stacked_trials(self):
+        first, added = np.arange(24.0).reshape(2, 3, 4), -np.arange(36.0).reshape(3, 3, 4)
+        ds = SubjectDataset(subject_id=1, trials=first, labels=[0, 1])
+        assert ds.trials is first
+        stacked = np.concatenate([first, added])
+        picked = ds.with_block(added, [2, 2, 2]).select(np.array([4, 0, 2]))
+        assert picked.blocks[0] is first and picked.n_trials == 3 and picked.trial_shape == (3, 4)
+        np.testing.assert_array_equal(picked.trials, stacked[[4, 0, 2]])
+        np.testing.assert_array_equal(picked.labels, [2, 0, 2])
+        np.testing.assert_array_equal(picked.select(np.array([2, 0])).trials, stacked[[2, 4]])
+        extended = picked.with_block(np.ones((1, 3, 4)), [5])
+        np.testing.assert_array_equal(extended.trials, np.concatenate([stacked[[4, 0, 2]], np.ones((1, 3, 4))]))
+        np.testing.assert_array_equal(extended.labels, [2, 0, 2, 5])
+
+    def test_pickled_dataset_holds_each_block_once(self):
+        cfg = toy_config()
+        ds = augment_rest_class(generate_cohort(cfg)[0], cfg).select(np.arange(3, 30))
+        ds.trial_views()
+        blob = pickle.dumps(ds)
+        assert len(blob) < 1.1 * sum(block.nbytes for block in ds.blocks)
+        copy = pickle.loads(blob)
+        np.testing.assert_array_equal(copy.trials, ds.trials)
+        copy.blocks[0][3] = 0.0  # the copy's views are views of the copy's blocks
+        assert not copy.trial_views()[0].any() and ds.trial_views()[0].any()
+
+    def test_added_block_is_checked_like_a_constructed_one(self):
+        ds = SubjectDataset(subject_id=7, trials=np.zeros((2, 3, 4)), labels=[0, 1])
+        bad = np.zeros((2, 3, 4))
+        bad[1, 2, 3] = np.inf
+        with pytest.raises(NumericError, match=r"^non-finite .*subject 7"):
+            ds.with_block(bad, [2, 2])
+        with pytest.raises(ValidationError, match=r"^subject 7: added trials of shape \[E, T\] = \[3, 5\]"):
+            ds.with_block(np.zeros((2, 3, 5)), [2, 2])
+        with pytest.raises(ValidationError, match="^subject 7: 2 added trials but 1 labels"):
+            ds.with_block(np.zeros((2, 3, 4)), [2])
 
 
 class TestGenerateCohort:
@@ -286,6 +324,24 @@ class TestTrainValSplit:
         np.testing.assert_array_equal(train[0].labels, labels[np.sort(expected_train)])
         np.testing.assert_array_equal(train[0].trials, ds.trials[np.sort(expected_train)])
         np.testing.assert_array_equal(val[0].trials, ds.trials[np.sort(expected_val)])
+
+    def test_augmenting_and_splitting_copies_no_trial(self):
+        """Both sides are rows over each source's own trials and its rest block, so what the split
+        holds, and its peak, is the rest blocks, which are as large as the raw trials."""
+        cfg = toy_config(n_subjects=5, trials_per_class=20, n_electrodes=4, n_timesteps=256)
+        source, _ = loso_split(generate_cohort(cfg), 0)
+        raw_bytes = sum(ds.trials.nbytes for ds in source)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            train, val = train_val_split([augment_rest_class(ds, cfg) for ds in source], 0.9, seed=1)
+            held, peak = (v - before for v in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * raw_bytes, (peak / raw_bytes, held / raw_bytes)
+        assert held <= 1.05 * raw_bytes, held / raw_bytes
+        for raw, *sides in zip(source, train, val):
+            assert all(side.blocks[0] is raw.trials for side in sides)
 
     def test_class_with_single_trial_rejected(self):
         ds = SubjectDataset(subject_id=0, trials=np.zeros((3, 2, 4)), labels=np.array([0, 0, 1]))

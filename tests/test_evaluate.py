@@ -3,6 +3,7 @@
 import logging
 import os
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,12 +14,20 @@ from ctss.blas import openblas_core, single_blas_thread
 from ctss.coteaching import (
     CoteachConfig,
     SelectionRecord,
+    SubjectBatcher,
     default_m_max,
     read_selection_log,
     train_coteaching,
     write_selection_log,
 )
-from ctss.data import GeneratorConfig, SubjectDataset, augment_rest_class, generate_cohort, train_val_split
+from ctss.data import (
+    GeneratorConfig,
+    SubjectDataset,
+    augment_rest_class,
+    generate_cohort,
+    subject_offset,
+    train_val_split,
+)
 from ctss.errors import ValidationError
 from ctss.evaluate import (
     final_epoch_window,
@@ -29,8 +38,10 @@ from ctss.evaluate import (
     write_results_csv,
     write_summary_json,
 )
-from ctss.metrics import balanced_accuracy, confusion_matrix
-from ctss.models import Model, ModelConfig
+from ctss.metrics import _PREDICT_CHUNK, balanced_accuracy, confusion_matrix, evaluate_balanced_accuracy, predict_classes
+from ctss.models import Model, ModelConfig, build_mini_resnet1d
+from ctss.seeding import derive_seed
+from ctss.tensor import Tensor
 from test_coteaching import blas_thread_count
 
 
@@ -377,6 +388,22 @@ class TestRunFold:
                  master_seed=5)
         assert events == [("augment", 0), ("augment", 2), ("train",), ("augment", 1)]
 
+    def test_train_and_val_are_rows_over_the_callers_trials(self, monkeypatch):
+        gen = toy_generator(n_subjects=3, seed=20)
+        cohort = generate_cohort(gen)
+        seen = []
+        train = ctss.evaluate.train_coteaching
+
+        def train_spy(train_sets, val_sets, *args, **kwargs):
+            seen.extend(train_sets + val_sets)
+            return train(train_sets, val_sets, *args, **kwargs)
+
+        monkeypatch.setattr(ctss.evaluate, "train_coteaching", train_spy)
+        run_fold(cohort, 1, "coteach", toy_model_config(), CoteachConfig(t_max=1, seed=0), gen, master_seed=5)
+        assert sorted(ds.subject_id for ds in seen) == [0, 0, 2, 2]
+        raw = {ds.subject_id: ds.trials for ds in cohort}
+        assert all(ds.blocks[0] is raw[ds.subject_id] and len(ds.blocks) == 2 for ds in seen)
+
     @pytest.mark.parametrize("bad", ["labels", "shape"])
     def test_bad_target_is_refused_before_anything_is_augmented(self, monkeypatch, bad):
         gen = toy_generator(n_subjects=3, seed=20)
@@ -389,6 +416,93 @@ class TestRunFold:
         with pytest.raises(ValidationError, match="subject 1 has"):
             run_fold(cohort, 1, "coteach", toy_model_config(), CoteachConfig(t_max=1, seed=0), gen, master_seed=5)
         assert events == []
+
+
+def augment_by_copy(ds, config):
+    """Rest augmentation as one concatenated copy of the subject's trials and its rest draw."""
+    offset = subject_offset(config, ds.subject_id)
+    rng = np.random.default_rng(np.random.PCG64(derive_seed(config.seed, "rest", ds.subject_id)))
+    rest = offset[None, :, :] + rng.normal(0.0, 1.0 / config.snr, size=(ds.n_trials,) + offset.shape)
+    labels = np.concatenate([ds.labels, np.full(ds.n_trials, config.n_imagery_classes)])
+    return SubjectDataset(ds.subject_id, np.concatenate([ds.trials, rest]), labels, ds.is_noisy)
+
+
+def split_by_copy(source, ratio, seed):
+    """The stratified split with each side's trials copied out of its subject's (``_subset``)."""
+    def subset(ds, idx):
+        return SubjectDataset(ds.subject_id, ds.trials[idx], ds.labels[idx], ds.is_noisy)
+
+    train, val = [], []
+    for ds in source:
+        rng = np.random.default_rng(np.random.PCG64(derive_seed(seed, "split", ds.subject_id)))
+        train_idx, val_idx = [], []
+        for cls in sorted(set(ds.labels.tolist())):
+            perm = rng.permutation(np.flatnonzero(ds.labels == cls))
+            n_train = min(max(int(ratio * perm.size), 1), perm.size - 1)
+            train_idx.extend(perm[:n_train])
+            val_idx.extend(perm[n_train:])
+        train.append(subset(ds, np.sort(train_idx)))
+        val.append(subset(ds, np.sort(val_idx)))
+    return train, val
+
+
+def predict_by_copy(model, datasets):
+    """Predictions over the concatenated trials of ``datasets``, in ``_PREDICT_CHUNK`` slices."""
+    trials = np.concatenate([ds.trials for ds in datasets])
+    return np.concatenate([np.argmax(model.forward(Tensor(trials[s:s + _PREDICT_CHUNK]), tape=None).data, axis=1)
+                           for s in range(0, len(trials), _PREDICT_CHUNK)])
+
+
+class TestCopyingSplitOracle:
+    def test_rows_over_blocks_give_the_bits_of_copies(self):
+        gen = toy_generator(n_subjects=5, trials_per_class=40, seed=31, noisy=(2,))
+        source = generate_cohort(gen)[1:]
+        train, val = train_val_split([augment_rest_class(ds, gen) for ds in source], 0.5, seed=7)
+        ref_train, ref_val = split_by_copy([augment_by_copy(ds, gen) for ds in source], 0.5, seed=7)
+        for got, want in zip(train + val, ref_train + ref_val):
+            assert (got.subject_id, got.is_noisy) == (want.subject_id, want.is_noisy)
+            np.testing.assert_array_equal(got.trials.view(np.uint64), want.trials.view(np.uint64))
+            np.testing.assert_array_equal(got.labels, want.labels)
+        assert default_m_max(train, 8) == default_m_max(ref_train, 8)
+
+        batchers = [SubjectBatcher(sets, 8, np.random.default_rng(5)) for sets in (train, ref_train)]
+        for _ in range(12):  # past each subject's first refill
+            got, want = (batcher.next_batch() for batcher in batchers)
+            np.testing.assert_array_equal(got.trials.data.view(np.uint64), want.trials.data.view(np.uint64))
+            np.testing.assert_array_equal(got.labels, want.labels)
+
+        model = build_mini_resnet1d(toy_model_config())
+        pooled = [trial for ds in val for trial in ds.trial_views()]
+        assert _PREDICT_CHUNK < len(pooled) < 2 * _PREDICT_CHUNK  # two chunks, the second a partial one
+        want = predict_by_copy(model, ref_val)
+        np.testing.assert_array_equal(predict_classes(model, pooled), want)
+        labels = np.concatenate([ds.labels for ds in ref_val])
+        assert evaluate_balanced_accuracy(model, val, 3) == balanced_accuracy(confusion_matrix(labels, want, 3))
+
+
+class TestEvaluationChunks:
+    def test_pooled_trials_are_gathered_one_chunk_at_a_time(self):
+        class ShapeModel:
+            def __init__(self):
+                self.seen = []
+
+            def forward(self, x, tape=None):
+                self.seen.append(x.shape)
+                return Tensor(np.zeros((x.shape[0], 3)))
+
+        rng = np.random.default_rng(0)
+        datasets = [SubjectDataset(sid, rng.normal(size=(600, 4, 64)), np.arange(600) % 3) for sid in range(2)]
+        pooled_bytes = sum(ds.n_trials for ds in datasets) * 4 * 64 * 8
+        model = ShapeModel()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            evaluate_balanced_accuracy(model, datasets, 3)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert model.seen == [(256, 4, 64)] * 4 + [(176, 4, 64)]
+        assert peak < 0.5 * pooled_bytes, peak / pooled_bytes
 
 
 class TestSelectionFrequencyReport:
